@@ -350,7 +350,6 @@ Cluster::serve(const std::vector<Request>& requests,
     if (opts_.server.slo) {
         rep.slo = true;
         rep.tenant_shares.resize(opts_.server.tenants);
-        int64_t total_work = 0;
         for (int i = 0; i < n; ++i) {
             const ServingReport& r = rep.replica_reports[i];
             rep.deadline_requests += r.deadline_requests;
@@ -367,28 +366,9 @@ Cluster::serve(const std::vector<Request>& requests,
                 c.tokens += s.tokens;
                 c.deadline_requests += s.deadline_requests;
                 c.deadline_misses += s.deadline_misses;
-                total_work += s.tokens;
             }
         }
-        for (ServingReport::TenantShare& c : rep.tenant_shares) {
-            c.token_share =
-                total_work > 0
-                    ? static_cast<double>(c.tokens) /
-                          static_cast<double>(total_work)
-                    : 0.0;
-            c.attainment =
-                c.deadline_requests > 0
-                    ? static_cast<double>(c.deadline_requests -
-                                          c.deadline_misses) /
-                          static_cast<double>(c.deadline_requests)
-                    : 1.0;
-        }
-        rep.slo_attainment =
-            rep.deadline_requests > 0
-                ? static_cast<double>(rep.deadline_requests -
-                                      rep.deadline_misses) /
-                      static_cast<double>(rep.deadline_requests)
-                : 1.0;
+        rep.slo_attainment = finish_tenant_shares(rep.tenant_shares);
     }
     return rep;
 }

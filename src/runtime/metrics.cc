@@ -32,4 +32,39 @@ pct(double fraction)
     return buf;
 }
 
+namespace {
+
+/// Met over carried deadlines; 1 when nothing carried one.
+double
+attainment(int deadline_requests, int deadline_misses)
+{
+    return deadline_requests > 0
+               ? static_cast<double>(deadline_requests - deadline_misses) /
+                     static_cast<double>(deadline_requests)
+               : 1.0;
+}
+
+}  // namespace
+
+double
+finish_tenant_shares(std::vector<ServingReport::TenantShare>& shares)
+{
+    int64_t total_work = 0;
+    int deadline_requests = 0;
+    int deadline_misses = 0;
+    for (const ServingReport::TenantShare& s : shares) {
+        total_work += s.tokens;
+        deadline_requests += s.deadline_requests;
+        deadline_misses += s.deadline_misses;
+    }
+    for (ServingReport::TenantShare& s : shares) {
+        s.token_share = total_work > 0
+                            ? static_cast<double>(s.tokens) /
+                                  static_cast<double>(total_work)
+                            : 0.0;
+        s.attainment = attainment(s.deadline_requests, s.deadline_misses);
+    }
+    return attainment(deadline_requests, deadline_misses);
+}
+
 }  // namespace elk::runtime

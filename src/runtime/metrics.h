@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "runtime/server.h"
 #include "sim/trace.h"
 
 namespace elk::runtime {
@@ -45,6 +46,15 @@ std::string ms(double seconds);
 /// trailing '%' ("59.4%") — the utilization / token-share /
 /// SLO-attainment formatter of the same tables.
 std::string pct(double fraction);
+
+/// Completes a per-tenant roll-up whose counts are filled in: sets each
+/// entry's token_share (its tokens over all entries' tokens; 0 when no
+/// work ran) and attainment (its deadline carriers that met their
+/// deadline over its carriers; 1 with none), and returns that
+/// attainment over all entries' carriers — the report's
+/// slo_attainment. Server and cluster reports both finish here.
+double finish_tenant_shares(
+    std::vector<ServingReport::TenantShare>& shares);
 
 }  // namespace elk::runtime
 

@@ -93,8 +93,8 @@ engine_options(const ServerOptions& opts)
  * serve() overload — asserted in tests/preempt_test.cc.
  *
  * With ServerOptions::slo the same queues order earliest-deadline-
- * first (ties on request id — queue_insert keeps them sorted, so
- * every claim site below reads EDF order for free), claims consult a
+ * first (ties on request id — enqueue keeps them sorted, so
+ * the claim walk reads EDF order for free), claims consult a
  * per-tenant deficit-round-robin token budget (replenish() opens a
  * fairness window whenever work waits but nothing is claimable, so
  * the scheduler stays work-conserving), and an urgent deadline
@@ -172,23 +172,39 @@ class DisaggRun {
         const double db = effective_deadline(b);
         return da != db ? da < db : a < b;
     }
-    /// Appends @p r to @p q (slo off) or insert-sorts it EDF (slo on),
+    /// A claim gate's answer for one claimable request.
+    enum class Verdict {
+        kTake,  ///< claim it (after the gate's own admission).
+        kSkip,  ///< pass over it; the walk goes on.
+        kStop,  ///< end the whole claim here.
+    };
+
+    /// Queues @p r in its priority class's prefill (@p prefill) or
+    /// decode queue: appended (slo off) or insert-sorted EDF (slo on),
     /// so queue order IS claim order in both schedulers.
-    void queue_insert(std::deque<int>& q, int r);
+    void enqueue(int r, bool prefill);
     /// Whether @p mode lets @p r into the claimed batch.
     bool claim_eligible(int r, ClaimMode mode) const;
+    /// Whether @p q holds a request @p mode lets into the batch.
+    bool eligible_waiting(const std::deque<int>& q, ClaimMode mode) const;
     /// Opens one fairness window: every tenant's deficit gains its
     /// quantum, capped at one quantum of saved-up credit (a long-idle
     /// tenant cannot hoard windows; a tenant in debt climbs out one
     /// window at a time).
     void replenish();
-    /// Claims up to @p cap members from @p hi (then @p lo, unless
-    /// kHighOnly) in queue order, appending to @p members. With slo
-    /// the queue order is EDF and a member's tenant must hold positive
-    /// deficit; windows replenish while slots stay unfilled and
-    /// eligible work waits, so the claim is work-conserving.
+    /// The one claim walk. Walks @p hi, then @p lo (unless kHighOnly),
+    /// in queue order, appending to @p members until it holds @p cap.
+    /// Requests @p mode excludes, and (slo) requests whose tenant holds
+    /// no positive deficit, are passed over; @p gate decides every
+    /// other one (Verdict). A gate answering kTake admits the request
+    /// before it returns, so the next request is examined against the
+    /// state the earlier ones left. With slo and @p open_windows, a
+    /// fairness window opens and the walk repeats while slots stay
+    /// free and eligible work waits, so the claim is work-conserving.
+    template <typename Gate>
     void claim(std::deque<int>& hi, std::deque<int>& lo, int cap,
-               ClaimMode mode, std::vector<int>& members);
+               ClaimMode mode, std::vector<int>& members, Gate gate,
+               bool open_windows = true);
     /// Most urgent queued deadline carrier (EDF order) that beats
     /// @p thresh and still holds trigger budget; -1 when none.
     /// @p prefill reports whether it waits in a prefill queue.
@@ -214,13 +230,25 @@ class DisaggRun {
     /// a preemption iteration, which must not size the residency
     /// budget — its working set (a mini batch) is not representative.
     void account(const IterOutcome& o, bool decode, bool nested);
-    void run_prefill_iteration(ClaimMode mode, bool interruptible,
-                               bool force_admit = false);
-    void run_decode_iteration(bool interruptible);
-    /// Nested decode iteration while the preempted victim is parked:
-    /// high-priority members only (kHighOnly), or also deadline
-    /// carriers beating the victim's bar (kUrgent).
-    void run_decode_mini(ClaimMode mode);
+    /// One prefill iteration. Any @p mode but kAll is a nested
+    /// preemption iteration: high-priority members only (kHighOnly),
+    /// or also deadline carriers beating the victim's bar (kUrgent).
+    /// @p force_admit pushes the head prompt past KV backpressure.
+    void run_prefill_iteration(ClaimMode mode, bool force_admit = false);
+    /// Admits one claimed prompt for this prefill iteration: its next
+    /// chunk (or the whole prompt), with the shared-prefix hit /
+    /// migration / miss and the private-tail KV on its first claim.
+    /// Appends the tokens it ingests to @p residuals and what it would
+    /// have ingested with no prefix cached to @p fulls; adds
+    /// spilled-prefix tokens to fetch back to @p prefix_stream and
+    /// migration stalls to @p migrate_stall.
+    void ingest(int r, std::vector<int>& residuals,
+                std::vector<int>& fulls, int64_t* prefix_stream,
+                double* migrate_stall);
+    /// One decode iteration. kAll serves the persistent batch; any
+    /// other mode is a nested preemption iteration over a mini batch
+    /// whose survivors go back to the wait queues.
+    void run_decode_iteration(ClaimMode mode);
     void finalize();
 
     /// A request's prompt length with the 0 = "full model sequence
@@ -255,22 +283,22 @@ class DisaggRun {
     /// idle-clock stall before the iteration.
     void kv_prepare(const std::vector<int>& members);
 
-    /// Charges @p stream_tokens tokens of KV streamed from HBM as an
-    /// idle-clock stall before an iteration (no-op for 0). The window
-    /// enters every time-weighted mean: HBM saturated for the
-    /// transfer, fabric quiet.
-    void kv_charge_stream(int64_t stream_tokens);
+    /// Charges the KV transfers gathered for an iteration as
+    /// idle-clock stalls before it, in this order: @p stream_tokens
+    /// tokens streamed from local HBM (HBM saturated, fabric quiet),
+    /// then @p migrate_s seconds of cross-chip migration (the
+    /// router-priced interconnect transfer a Request carries; local
+    /// HBM and fabric quiet). Each is a no-op at 0, and each window
+    /// enters every time-weighted mean.
+    void kv_charge(int64_t stream_tokens, double migrate_s);
 
-    /// Charges @p dt seconds of cross-chip KV migration (the
-    /// router-priced interconnect transfer a Request carries) as an
-    /// idle-clock stall before an iteration (no-op for 0). Unlike
-    /// kv_charge_stream the data crosses the chip-to-chip wire, so
-    /// the window enters the means with local HBM and fabric quiet.
-    void kv_charge_migration(double dt);
+    /// Releases the iteration's pins on @p r's private tail and shared
+    /// prefix (the segments and the prefix share stay).
+    void kv_unpin(int r);
 
-    /// Post-iteration bookkeeping for one member: releases its pin
+    /// Post-iteration bookkeeping for one member: releases its pins
     /// and either grows the segment by the decoded token or frees it
-    /// (@p completed).
+    /// and drops its prefix share (@p completed).
     void kv_retire(int r, bool completed);
 
     // --- prefix cache (all no-ops while prefix_on_ is false, which
@@ -315,12 +343,6 @@ class DisaggRun {
     /// queue order, and skips/remaining lengths move between claims.
     /// Chunking only.
     void order_prefill_queues();
-
-    /// KV-locality decode claim: fills free batch slots with
-    /// KV-resident requests only; every spilled request passed over
-    /// while slots remained counts one kv_locality_skips.
-    void claim_kv_resident(std::deque<int>& hi, std::deque<int>& lo,
-                           int cap, std::vector<int>& members);
 
     const sim::Machine& machine_;
     const ServerOptions& opts_;
@@ -387,14 +409,9 @@ class DisaggRun {
     /// positive deficit; execution charges actual tokens, so a large
     /// prompt can push a tenant into debt it repays over windows.
     std::vector<double> deficit_;
-    /// Per tenant: tokens granted per fairness window (shares scaled
-    /// to fairness_tokens).
+    /// Per tenant: tokens granted per fairness window (the window of
+    /// max_batch + max_prompt_len tokens split by share).
     std::vector<double> quantum_;
-    /// Per tenant: work tokens executed (prompt residuals + decode).
-    std::vector<int64_t> tenant_tokens_;
-    std::vector<int> tenant_requests_;
-    std::vector<int> tenant_deadline_reqs_;
-    std::vector<int> tenant_deadline_miss_;
     /// Per-completion lateness (>= 0 seconds), deadline carriers only.
     std::vector<double> latenesses_;
     /// Per request: deadline preemptions it may still trigger.
@@ -439,15 +456,8 @@ DisaggRun::admit()
     const int n = total_requests();
     while (next_arrival_ < n &&
            requests_[next_arrival_].arrival <= now_) {
-        int r = next_arrival_++;
-        const Request& req = requests_[r];
-        if (req.phase == Phase::kPrefill) {
-            queue_insert(
-                req.priority == Priority::kHigh ? pre_hi_ : pre_lo_, r);
-        } else {
-            queue_insert(
-                req.priority == Priority::kHigh ? dec_hi_ : dec_lo_, r);
-        }
+        const int r = next_arrival_++;
+        enqueue(r, requests_[r].phase == Phase::kPrefill);
     }
     refresh_next_high();
 }
@@ -472,8 +482,11 @@ DisaggRun::refresh_next_high()
 }
 
 void
-DisaggRun::queue_insert(std::deque<int>& q, int r)
+DisaggRun::enqueue(int r, bool prefill)
 {
+    const bool high = requests_[r].priority == Priority::kHigh;
+    std::deque<int>& q =
+        prefill ? (high ? pre_hi_ : pre_lo_) : (high ? dec_hi_ : dec_lo_);
     if (!slo_on_) {
         q.push_back(r);
         return;
@@ -511,73 +524,67 @@ DisaggRun::replenish()
     }
 }
 
+bool
+DisaggRun::eligible_waiting(const std::deque<int>& q, ClaimMode mode) const
+{
+    for (int r : q) {
+        if (claim_eligible(r, mode)) {
+            return true;
+        }
+    }
+    return false;
+}
+
+template <typename Gate>
 void
 DisaggRun::claim(std::deque<int>& hi, std::deque<int>& lo, int cap,
-                 ClaimMode mode, std::vector<int>& members)
+                 ClaimMode mode, std::vector<int>& members, Gate gate,
+                 bool open_windows)
 {
-    if (!slo_on_) {
-        while (!hi.empty() && static_cast<int>(members.size()) < cap) {
-            members.push_back(hi.front());
-            hi.pop_front();
-        }
-        if (mode != ClaimMode::kHighOnly) {
-            while (!lo.empty() &&
-                   static_cast<int>(members.size()) < cap) {
-                members.push_back(lo.front());
-                lo.pop_front();
-            }
-        }
-        return;
-    }
-    // EDF + deficit-round-robin. A pass walks a queue in EDF order
-    // claiming eligible members whose tenant holds positive deficit;
-    // when slots remain and eligible work waits but nothing was
-    // claimable, a fairness window replenishes every deficit and the
-    // pass repeats — work-conserving: shares decide claim ORDER under
-    // contention, they never idle the chip.
+    const bool both = mode != ClaimMode::kHighOnly;
+    // One pass over a queue; false when the gate stopped the walk.
     auto pass = [&](std::deque<int>& q) {
         for (auto it = q.begin();
              it != q.end() && static_cast<int>(members.size()) < cap;) {
             const int r = *it;
-            if (claim_eligible(r, mode) &&
-                deficit_[requests_[r].tenant] > 0.0) {
+            if (!claim_eligible(r, mode) ||
+                (slo_on_ && deficit_[requests_[r].tenant] <= 0.0)) {
+                ++it;
+                continue;
+            }
+            switch (gate(r)) {
+            case Verdict::kStop:
+                return false;
+            case Verdict::kSkip:
+                ++it;
+                break;
+            case Verdict::kTake:
                 members.push_back(r);
                 it = q.erase(it);
-            } else {
-                ++it;
+                break;
             }
         }
+        return true;
     };
-    auto eligible_waiting = [&](const std::deque<int>& q) {
-        for (int r : q) {
-            if (claim_eligible(r, mode)) {
-                return true;
-            }
-        }
-        return false;
-    };
+    // EDF + deficit-round-robin: when slots remain and eligible work
+    // waits blocked on deficit alone, a fairness window replenishes
+    // every deficit and the walk repeats — shares decide claim ORDER
+    // under contention, they never idle the chip. A pass that stops
+    // short of the cap has seen every claimable request, and claiming
+    // charges no deficit, so a repeat without a window would claim
+    // nothing. Progress is guaranteed: a tenant in debt climbs out
+    // one window at a time.
     for (;;) {
-        const size_t before = members.size();
-        pass(hi);
-        if (mode != ClaimMode::kHighOnly) {
-            pass(lo);
+        if (!pass(hi) || (both && !pass(lo))) {
+            return;
         }
-        if (static_cast<int>(members.size()) >= cap) {
-            break;
+        if (!slo_on_ || !open_windows ||
+            static_cast<int>(members.size()) >= cap ||
+            !(eligible_waiting(hi, mode) ||
+              (both && eligible_waiting(lo, mode)))) {
+            return;
         }
-        const bool waiting =
-            eligible_waiting(hi) ||
-            (mode != ClaimMode::kHighOnly && eligible_waiting(lo));
-        if (!waiting) {
-            break;
-        }
-        // Slots free, eligible work blocked on deficit alone: open a
-        // window. Progress is guaranteed — a window with no claim
-        // means every eligible tenant sits at a full (positive)
-        // quantum, so the next pass claims at least one.
-        if (members.size() == before) {
-            replenish();
-        }
+        replenish();
     }
 }
 
@@ -610,36 +617,6 @@ DisaggRun::order_prefill_queues()
     auto cmp = [this](int a, int b) { return pre_before(a, b); };
     std::sort(pre_hi_.begin(), pre_hi_.end(), cmp);
     std::sort(pre_lo_.begin(), pre_lo_.end(), cmp);
-}
-
-void
-DisaggRun::claim_kv_resident(std::deque<int>& hi, std::deque<int>& lo,
-                             int cap, std::vector<int>& members)
-{
-    // Residents only; deficit-blocked tenants are skipped without a
-    // replenish window (the full claim() fallback opens windows when
-    // nothing resident could run at all).
-    auto pass = [&](std::deque<int>& q) {
-        for (auto it = q.begin();
-             it != q.end() && static_cast<int>(members.size()) < cap;) {
-            const int r = *it;
-            if (slo_on_ && deficit_[requests_[r].tenant] <= 0.0) {
-                ++it;
-                continue;
-            }
-            if (kv_tokens_[r] < 0 || !state_.kv_resident(r)) {
-                // Spilled (or not yet materialized here): passed over
-                // while a resident request could still fill the slot.
-                ++rep_.kv_locality_skips;
-                ++it;
-                continue;
-            }
-            members.push_back(r);
-            it = q.erase(it);
-        }
-    };
-    pass(hi);
-    pass(lo);
 }
 
 int
@@ -676,7 +653,7 @@ DisaggRun::record_completion(int r)
         const double late = now_ - requests_[r].deadline_s;
         latenesses_.push_back(std::max(0.0, late));
         if (late > 0.0) {
-            ++tenant_deadline_miss_[requests_[r].tenant];
+            ++rep_.tenant_shares[requests_[r].tenant].deadline_misses;
         }
     }
 }
@@ -796,75 +773,68 @@ DisaggRun::kv_prepare(const std::vector<int>& members)
             kv_pinned_[r] = true;
         }
     }
-    kv_charge_stream(stream_tokens);
-    kv_charge_migration(migrate_stall);
+    kv_charge(stream_tokens, migrate_stall);
 }
 
 void
-DisaggRun::kv_charge_stream(int64_t stream_tokens)
+DisaggRun::kv_charge(int64_t stream_tokens, double migrate_s)
 {
-    if (stream_tokens <= 0) {
-        return;
+    // The engine is idle during a transfer, so each is a pure clock
+    // advance whose window still enters every time-weighted mean.
+    auto idle = [this](double dt, double hbm_util) {
+        depth_mean_.add(dt, static_cast<double>(waiting_total()));
+        kv_mean_.add(dt, static_cast<double>(state_.kv_bytes()));
+        hbm_mean_.add(dt, hbm_util);
+        noc_mean_.add(dt, 0.0);
+        state_.run_to(state_.now() + dt);
+        now_ = state_.now();
+    };
+    if (stream_tokens > 0) {
+        // One serial HBM transfer before the iteration starts: HBM is
+        // saturated for the transfer part, the fabric is quiet.
+        const hw::ChipConfig& cfg = machine_.config();
+        const double stream =
+            static_cast<double>(stream_tokens) *
+            static_cast<double>(opts_.kv_bytes_per_token) /
+            cfg.hbm_total_bw;
+        const double dt = cfg.hbm_access_latency_s + stream;
+        rep_.kv_stall += dt;
+        idle(dt, stream / dt);
     }
-    // One serial HBM transfer before the iteration starts; the
-    // engine is idle, so this is a pure clock advance. The
-    // window still enters every time-weighted mean — HBM is
-    // saturated for the transfer part, the fabric is quiet.
-    const hw::ChipConfig& cfg = machine_.config();
-    double stream =
-        static_cast<double>(stream_tokens) *
-        static_cast<double>(opts_.kv_bytes_per_token) /
-        cfg.hbm_total_bw;
-    double dt = cfg.hbm_access_latency_s + stream;
-    rep_.kv_stall += dt;
-    depth_mean_.add(dt, static_cast<double>(waiting_total()));
-    kv_mean_.add(dt, static_cast<double>(state_.kv_bytes()));
-    hbm_mean_.add(dt, stream / dt);
-    noc_mean_.add(dt, 0.0);
-    state_.run_to(state_.now() + dt);
-    now_ = state_.now();
+    if (migrate_s > 0.0) {
+        // The segment lands over the chip-to-chip wire: local HBM
+        // carries none of it — the wire is the priced resource, and
+        // the router already folded its latency + bandwidth into the
+        // stall.
+        rep_.kv_migration_stall += migrate_s;
+        idle(migrate_s, 0.0);
+    }
 }
 
 void
-DisaggRun::kv_charge_migration(double dt)
-{
-    if (dt <= 0.0) {
-        return;
-    }
-    // The segment lands over the chip-to-chip wire while this chip
-    // idles: a pure clock advance like kv_charge_stream, but local
-    // HBM carries none of it — the wire is the priced resource, and
-    // the router already folded its latency + bandwidth into dt.
-    rep_.kv_migration_stall += dt;
-    depth_mean_.add(dt, static_cast<double>(waiting_total()));
-    kv_mean_.add(dt, static_cast<double>(state_.kv_bytes()));
-    hbm_mean_.add(dt, 0.0);
-    noc_mean_.add(dt, 0.0);
-    state_.run_to(state_.now() + dt);
-    now_ = state_.now();
-}
-
-void
-DisaggRun::kv_retire(int r, bool completed)
+DisaggRun::kv_unpin(int r)
 {
     if (kv_pinned_[r]) {
         state_.kv_unpin(r);
         kv_pinned_[r] = false;
     }
-    if (prefix_on_ && prefix_share_[r] >= 0) {
-        const int64_t pseg = prefix_kv_id(prefix_share_[r]);
-        if (prefix_pinned_[r]) {
-            state_.kv_unpin(pseg);
-            prefix_pinned_[r] = false;
-        }
-        if (completed) {
+    if (prefix_on_ && prefix_pinned_[r]) {
+        state_.kv_unpin(prefix_kv_id(prefix_share_[r]));
+        prefix_pinned_[r] = false;
+    }
+}
+
+void
+DisaggRun::kv_retire(int r, bool completed)
+{
+    kv_unpin(r);
+    if (completed) {
+        if (prefix_on_ && prefix_share_[r] >= 0) {
             // Drop the share; the segment itself stays cached for
             // future carriers of the prefix (that is the cache).
-            state_.kv_release(pseg);
+            state_.kv_release(prefix_kv_id(prefix_share_[r]));
             prefix_share_[r] = -1;
         }
-    }
-    if (completed) {
         state_.kv_free(r);
         kv_tokens_[r] = -1;
         return;
@@ -916,11 +886,10 @@ DisaggRun::preempt_for_high()
         // born spilled) rather than deferred — preemption exists to
         // cut its latency, and the spill cost is now modeled.
         run_prefill_iteration(ClaimMode::kHighOnly,
-                              /*interruptible=*/false,
                               /*force_admit=*/kv_on_);
     } else if (!dec_hi_.empty()) {
         ++rep_.preemptions;
-        run_decode_mini(ClaimMode::kHighOnly);
+        run_decode_iteration(ClaimMode::kHighOnly);
     } else if (slo_on_) {
         // No high-priority work: a deadline carrier may still have
         // tripped the watcher. It preempts only when it is more
@@ -936,10 +905,9 @@ DisaggRun::preempt_for_high()
             urgent_thresh_ = victim_min;
             if (trig_pre) {
                 run_prefill_iteration(ClaimMode::kUrgent,
-                                      /*interruptible=*/false,
                                       /*force_admit=*/kv_on_);
             } else {
-                run_decode_mini(ClaimMode::kUrgent);
+                run_decode_iteration(ClaimMode::kUrgent);
             }
         }
         // A watcher trip with no trigger is a harmless exact
@@ -991,8 +959,110 @@ DisaggRun::account(const IterOutcome& o, bool decode, bool nested)
 }
 
 void
-DisaggRun::run_prefill_iteration(ClaimMode mode, bool interruptible,
-                                 bool force_admit)
+DisaggRun::ingest(int r, std::vector<int>& residuals,
+                  std::vector<int>& fulls, int64_t* prefix_stream,
+                  double* migrate_stall)
+{
+    const int len = effective_prompt_len(r);
+    // Tokens one claim ingests at most: a chunk, or the whole prompt.
+    const int step = chunk_on_ ? opts_.prefill_chunk : len;
+    const bool first = pre_left_[r] < 0;
+    // Prompt tokens still to ingest (cached prefix tokens excluded).
+    int residual = first ? len : pre_left_[r];
+    if (first && prefix_on_ && requests_[r].prefix_id >= 0) {
+        // A prompt whose prefix id matches a cached segment is a hit:
+        // it shares the segment (refcount) and skips the covered
+        // tokens — only the residual reaches prefill. The first
+        // carrier of a prefix seeds the shared segment; a spilled
+        // prefix streams back before the iteration, priced like any
+        // KV refetch.
+        const int pid = requests_[r].prefix_id;
+        const int64_t pseg = prefix_kv_id(pid);
+        const int plen = requests_[r].prefix_len;
+        const int64_t covered = prefix_covered(r);
+        if (covered > 0) {
+            ++rep_.prefix_hits;
+            rep_.prefix_hit_tokens += covered;
+            residual -= static_cast<int>(covered);
+            if (!state_.kv_resident(pseg)) {
+                *prefix_stream += prefix_tokens_[pid];
+                ++rep_.kv_refetches;
+                state_.kv_fetch(pseg);
+            }
+        } else {
+            prefix_tokens_[pid] = plen;
+            if (requests_[r].kv_migrate_tokens > 0) {
+                // Migration: the shared segment arrives over the
+                // cluster interconnect from the chip that holds it,
+                // seeding the local cache — the covered tokens skip
+                // prefill like a hit, and the wire transfer (priced
+                // by the router) stalls this chip instead of a
+                // re-prefill.
+                ++rep_.prefix_hits;
+                rep_.prefix_hit_tokens += plen;
+                ++rep_.kv_migrations;
+                rep_.kv_migrated_tokens += plen;
+                *migrate_stall += requests_[r].kv_migrate_stall;
+                residual -= plen;
+            } else {
+                // Miss: seed the shared segment at the request's full
+                // prefix span. The span is still ingested (first),
+                // but its KV lives in the prefix segment, not the
+                // private tail.
+                tail_skip_left_[r] = plen;
+            }
+            state_.kv_alloc(pseg, kv_per_core(plen));
+        }
+        state_.kv_share(pseg);
+        prefix_share_[r] = pid;
+        // Pin the prefix for this iteration before the tail
+        // allocates, so the tail cannot evict it.
+        if (state_.kv_resident(pseg)) {
+            state_.kv_pin(pseg);
+            prefix_pinned_[r] = true;
+        }
+    }
+    const int take = std::min(step, residual);
+    if (chunk_on_) {
+        if (first && residual > take) {
+            ++rep_.chunked_prompts;
+        }
+        pre_left_[r] = residual - take;
+        pre_skips_[r] = 0;
+        ++rep_.prefill_chunks;
+    }
+    if (kv_on_) {
+        // The private tail allocates with the first ingest that
+        // reaches past any unseeded prefix span and grows in place
+        // with later chunks (admission was gated on the full need at
+        // the first chunk; growth spills under pressure instead of
+        // deferring, so mid-prompt chunks cannot deadlock on
+        // backpressure).
+        const int skip = std::min(tail_skip_left_[r], take);
+        tail_skip_left_[r] -= skip;
+        const int add = take - skip;
+        if (add > 0 && kv_tokens_[r] < 0) {
+            kv_tokens_[r] = add;
+            if (state_.kv_alloc(r, kv_per_core(add))) {
+                state_.kv_pin(r);
+                kv_pinned_[r] = true;
+            }
+        } else if (add > 0) {
+            const uint64_t before = kv_per_core(kv_tokens_[r]);
+            kv_tokens_[r] += add;
+            state_.kv_grow(r, kv_per_core(kv_tokens_[r]) - before);
+            if (state_.kv_resident(r) && !kv_pinned_[r]) {
+                state_.kv_pin(r);
+                kv_pinned_[r] = true;
+            }
+        }
+    }
+    residuals.push_back(take);
+    fulls.push_back(first ? std::min(step, len) : take);
+}
+
+void
+DisaggRun::run_prefill_iteration(ClaimMode mode, bool force_admit)
 {
     if (chunk_on_) {
         // Claim order is queue order: refresh the length/KV-aware
@@ -1001,252 +1071,38 @@ DisaggRun::run_prefill_iteration(ClaimMode mode, bool interruptible,
         order_prefill_queues();
     }
     std::vector<int> members = acquire_scratch();
-    // Parallel to members while prefix_on_ or chunk_on_: prompt tokens
-    // each member actually brings to this iteration (full length, the
-    // residual past its cached prefix, or this chunk).
+    // Parallel to members: prompt tokens each member actually brings
+    // to this iteration (full length, the residual past its cached
+    // prefix, or this chunk).
     std::vector<int> residuals = acquire_scratch();
     // Parallel to residuals: the tokens this member would have brought
     // with no prefix cached — what the padding-savings counter
     // compares against.
     std::vector<int> fulls = acquire_scratch();
-    const bool track_ingest = chunk_on_ || prefix_on_;
     int64_t prefix_stream = 0;  ///< spilled-prefix tokens fetched back.
     double migrate_stall = 0.0;  ///< router-priced interconnect stalls.
-    if (!kv_on_) {
-        claim(pre_hi_, pre_lo_, opts_.max_prefill_batch, mode,
-              members);
-        if (chunk_on_) {
-            for (int r : members) {
-                const int remaining = pre_left_[r] >= 0
-                                          ? pre_left_[r]
-                                          : effective_prompt_len(r);
-                const int ingest =
-                    std::min(opts_.prefill_chunk, remaining);
-                if (pre_left_[r] < 0 && remaining > ingest) {
-                    ++rep_.chunked_prompts;
-                }
-                pre_left_[r] = remaining - ingest;
-                pre_skips_[r] = 0;
-                ++rep_.prefill_chunks;
-                residuals.push_back(ingest);
-                fulls.push_back(ingest);
-            }
-        }
-    } else {
-        // KV-gated claiming: members are taken in the usual order
-        // (high first, FIFO within a class) but each prompt must fit
-        // its KV segment into the budget next to what is already
-        // resident. The first prompt that does not fit stops the
-        // claim — admitting later ones would starve it — and counts
-        // one admission deferral. Oversized prompts (KV bigger than
-        // the whole budget) can never fit and are admitted born
-        // spilled instead of deferred forever; force_admit pushes the
-        // head prompt through the same way when deferring would leave
-        // the server with no other work.
-        //
-        // With prefix sharing, a prompt whose prefix id matches a
-        // cached segment is a hit: it shares the segment (refcount),
-        // skips the covered tokens — only the residual reaches this
-        // iteration — and only its private tail is new KV. The first
-        // carrier of a prefix seeds the shared segment next to its
-        // tail; a spilled prefix streams back before the iteration,
-        // priced like any KV refetch.
-        bool deferred = false;
-        auto take = [&](std::deque<int>& q) {
-            for (auto it = q.begin();
-                 it != q.end() && !deferred &&
-                 static_cast<int>(members.size()) <
-                     opts_.max_prefill_batch;) {
-                int r = *it;
-                // SLO gating mirrors claim(): skip members the mode
-                // excludes or whose tenant is out of deficit — the
-                // KV-fit rule below applies to claimable prompts
-                // only. Inert while slo is off (every request is
-                // eligible and no deficit exists), so the walk is the
-                // original front-pop.
-                if (slo_on_ && (!claim_eligible(r, mode) ||
-                                deficit_[requests_[r].tenant] <= 0.0)) {
-                    ++it;
-                    continue;
-                }
-                const int64_t len = effective_prompt_len(r);
-                const uint64_t bytes = prompt_kv_need(r);
-                bool oversized = bytes > opts_.kv_budget;
-                if (!state_.kv_would_fit(bytes) && !oversized &&
-                    !(force_admit && members.empty())) {
-                    deferred = true;
-                    ++rep_.deferred_admissions;
-                    break;
-                }
-                it = q.erase(it);
-                members.push_back(r);
-                if (chunk_on_ && pre_left_[r] >= 0) {
-                    // A later chunk of an admitted prompt: ingest the
-                    // next chunk and grow the private tail in place
-                    // (admission gated on the full need at the first
-                    // chunk; growth spills under pressure instead of
-                    // deferring, so mid-prompt chunks cannot
-                    // deadlock on backpressure).
-                    const int ingest =
-                        std::min(opts_.prefill_chunk, pre_left_[r]);
-                    pre_left_[r] -= ingest;
-                    pre_skips_[r] = 0;
-                    ++rep_.prefill_chunks;
-                    const int skip_use =
-                        std::min(tail_skip_left_[r], ingest);
-                    tail_skip_left_[r] -= skip_use;
-                    const int tail_add = ingest - skip_use;
-                    if (tail_add > 0) {
-                        if (kv_tokens_[r] < 0) {
-                            kv_tokens_[r] = tail_add;
-                            if (state_.kv_alloc(
-                                    r, kv_per_core(tail_add))) {
-                                state_.kv_pin(r);
-                                kv_pinned_[r] = true;
-                            }
-                        } else {
-                            const uint64_t before =
-                                kv_per_core(kv_tokens_[r]);
-                            kv_tokens_[r] += tail_add;
-                            state_.kv_grow(
-                                r, kv_per_core(kv_tokens_[r]) - before);
-                            if (state_.kv_resident(r) &&
-                                !kv_pinned_[r]) {
-                                state_.kv_pin(r);
-                                kv_pinned_[r] = true;
-                            }
-                        }
-                    }
-                    residuals.push_back(ingest);
-                    fulls.push_back(ingest);
-                    continue;
-                }
-                int64_t tail = len;
-                // Prompt tokens a prefill program must actually
-                // ingest for this member (its residual).
-                int64_t residual = len;
-                if (prefix_on_ && requests_[r].prefix_id >= 0) {
-                    const int pid = requests_[r].prefix_id;
-                    const int64_t pseg = prefix_kv_id(pid);
-                    const int64_t covered = prefix_covered(r);
-                    if (covered > 0) {
-                        ++rep_.prefix_hits;
-                        rep_.prefix_hit_tokens += covered;
-                        tail = len - covered;
-                        residual = len - covered;
-                        if (!state_.kv_resident(pseg)) {
-                            prefix_stream += prefix_tokens_[pid];
-                            ++rep_.kv_refetches;
-                            state_.kv_fetch(pseg);
-                        }
-                    } else if (requests_[r].kv_migrate_tokens > 0) {
-                        // Migration: the shared segment arrives over
-                        // the cluster interconnect from the chip that
-                        // holds it, seeding the local cache — the
-                        // covered tokens skip prefill like a hit, and
-                        // the wire transfer (priced by the router)
-                        // stalls this chip instead of a re-prefill.
-                        const int64_t plen = requests_[r].prefix_len;
-                        prefix_tokens_[pid] = plen;
-                        ++rep_.prefix_hits;
-                        rep_.prefix_hit_tokens += plen;
-                        ++rep_.kv_migrations;
-                        rep_.kv_migrated_tokens += plen;
-                        migrate_stall += requests_[r].kv_migrate_stall;
-                        tail = len - plen;
-                        residual = len - plen;
-                        state_.kv_alloc(pseg, kv_per_core(plen));
-                    } else {
-                        // Miss: seed the shared segment at the
-                        // request's full prefix span.
-                        const int64_t plen = requests_[r].prefix_len;
-                        prefix_tokens_[pid] = plen;
-                        tail = len - plen;
-                        state_.kv_alloc(pseg, kv_per_core(plen));
-                    }
-                    state_.kv_share(pseg);
-                    prefix_share_[r] = pid;
-                    // Pin the prefix for this iteration before the
-                    // tail allocates, so the tail cannot evict it.
-                    if (state_.kv_resident(pseg)) {
-                        state_.kv_pin(pseg);
-                        prefix_pinned_[r] = true;
-                    }
-                }
-                if (!chunk_on_) {
-                    kv_tokens_[r] = tail;
-                    if (state_.kv_alloc(r, kv_per_core(tail))) {
-                        state_.kv_pin(r);
-                        kv_pinned_[r] = true;
-                    }
-                    if (track_ingest) {
-                        residuals.push_back(static_cast<int>(residual));
-                        fulls.push_back(static_cast<int>(len));
-                    }
-                } else {
-                    // First chunk: prefix-resident tokens were skipped
-                    // above; the residual now ingests chunk by chunk,
-                    // the private tail allocating with the first chunk
-                    // that reaches past any unseeded prefix span.
-                    const int res = static_cast<int>(residual);
-                    const int ingest =
-                        std::min(opts_.prefill_chunk, res);
-                    if (res > ingest) {
-                        ++rep_.chunked_prompts;
-                    }
-                    pre_left_[r] = res - ingest;
-                    pre_skips_[r] = 0;
-                    ++rep_.prefill_chunks;
-                    tail_skip_left_[r] =
-                        static_cast<int>(residual - tail);
-                    const int skip_use =
-                        std::min(tail_skip_left_[r], ingest);
-                    tail_skip_left_[r] -= skip_use;
-                    const int tail_add = ingest - skip_use;
-                    if (tail_add > 0) {
-                        kv_tokens_[r] = tail_add;
-                        if (state_.kv_alloc(r, kv_per_core(tail_add))) {
-                            state_.kv_pin(r);
-                            kv_pinned_[r] = true;
-                        }
-                    }
-                    residuals.push_back(ingest);
-                    fulls.push_back(static_cast<int>(std::min<int64_t>(
-                        opts_.prefill_chunk, len)));
-                }
-            }
-        };
-        auto take_all = [&] {
-            take(pre_hi_);
-            if (mode != ClaimMode::kHighOnly && !deferred) {
-                take(pre_lo_);
-            }
-        };
-        take_all();
-        if (slo_on_) {
-            // Work-conserving fairness, mirroring claim(): while batch
-            // slots stay open, nothing deferred on KV, and eligible
-            // prompts wait blocked on deficit alone, open a window and
-            // take again.
-            auto eligible_waiting = [&](const std::deque<int>& q) {
-                for (int r : q) {
-                    if (claim_eligible(r, mode)) {
-                        return true;
-                    }
-                }
-                return false;
-            };
-            while (!deferred &&
-                   static_cast<int>(members.size()) <
-                       opts_.max_prefill_batch &&
-                   (eligible_waiting(pre_hi_) ||
-                    (mode != ClaimMode::kHighOnly &&
-                     eligible_waiting(pre_lo_)))) {
-                replenish();
-                take_all();
-            }
-        }
-    }
+    // With KV modeling each claimed prompt must fit its new KV into
+    // the budget next to what is already resident. The first prompt
+    // that does not fit stops the claim — admitting later ones would
+    // starve it — and counts one admission deferral. Oversized prompts
+    // (KV bigger than the whole budget) can never fit and are
+    // admitted born spilled instead of deferred forever; force_admit
+    // pushes the head prompt through the same way when deferring
+    // would leave the server with no other work.
+    claim(pre_hi_, pre_lo_, opts_.max_prefill_batch, mode, members,
+          [&](int r) {
+              if (kv_on_) {
+                  const uint64_t bytes = prompt_kv_need(r);
+                  if (!state_.kv_would_fit(bytes) &&
+                      bytes <= opts_.kv_budget &&
+                      !(force_admit && members.empty())) {
+                      ++rep_.deferred_admissions;
+                      return Verdict::kStop;
+                  }
+              }
+              ingest(r, residuals, fulls, &prefix_stream, &migrate_stall);
+              return Verdict::kTake;
+          });
     if (chunk_on_) {
         // Bounded fairness window: every prompt still waiting after
         // this claim moves one pass closer to starved status (and
@@ -1260,8 +1116,7 @@ DisaggRun::run_prefill_iteration(ClaimMode mode, bool interruptible,
     }
     rep_.peak_queue_depth = std::max(
         rep_.peak_queue_depth, static_cast<int>(waiting_total()));
-    kv_charge_stream(prefix_stream);
-    kv_charge_migration(migrate_stall);
+    kv_charge(prefix_stream, migrate_stall);
     int bucket = pick_bucket(opts_.prefill_buckets,
                              static_cast<int>(members.size()));
     // The claimed prompts share one program: the smallest length
@@ -1273,18 +1128,16 @@ DisaggRun::run_prefill_iteration(ClaimMode mode, bool interruptible,
     int need_len_full = 1;
     int64_t actual_tokens = 0;
     for (size_t i = 0; i < members.size(); ++i) {
-        const int len = effective_prompt_len(members[i]);
-        const int res = track_ingest ? residuals[i] : len;
+        const int res = residuals[i];
         need_len = std::max(need_len, res);
-        need_len_full =
-            std::max(need_len_full, track_ingest ? fulls[i] : len);
+        need_len_full = std::max(need_len_full, fulls[i]);
         actual_tokens += res;
         if (slo_on_) {
             // Fairness charges actual ingested work: a long prompt
             // can push its tenant into deficit debt repaid over the
             // following windows.
             const int t = requests_[members[i]].tenant;
-            tenant_tokens_[t] += res;
+            rep_.tenant_shares[t].tokens += res;
             deficit_[t] -= static_cast<double>(res);
         }
     }
@@ -1332,8 +1185,9 @@ DisaggRun::run_prefill_iteration(ClaimMode mode, bool interruptible,
                 std::min(iter_min_deadline_, effective_deadline(r));
         }
     }
-    IterOutcome o = execute(*program, interruptible && !protected_iter);
-    account(o, /*decode=*/false, /*nested=*/mode != ClaimMode::kAll);
+    const bool nested = mode != ClaimMode::kAll;
+    IterOutcome o = execute(*program, !nested && !protected_iter);
+    account(o, /*decode=*/false, nested);
 
     // Prompt ingested: record TTFT and hand the request to the decode
     // class (high-priority members keep their class). The KV segment
@@ -1345,13 +1199,8 @@ DisaggRun::run_prefill_iteration(ClaimMode mode, bool interruptible,
     // interconnect, so the local segment frees and the prefix share
     // drops immediately.
     for (int r : members) {
-        if (kv_on_ && kv_pinned_[r]) {
-            state_.kv_unpin(r);
-            kv_pinned_[r] = false;
-        }
-        if (prefix_on_ && prefix_pinned_[r]) {
-            state_.kv_unpin(prefix_kv_id(prefix_share_[r]));
-            prefix_pinned_[r] = false;
+        if (kv_on_) {
+            kv_unpin(r);
         }
         if (chunk_on_ && pre_left_[r] > 0) {
             // More chunks to ingest: back to the prefill queue (the
@@ -1361,28 +1210,18 @@ DisaggRun::run_prefill_iteration(ClaimMode mode, bool interruptible,
             // decode work waits, so decode never stalls behind the
             // whole prompt.
             chunk_yield_ = true;
-            queue_insert(requests_[r].priority == Priority::kHigh
-                             ? pre_hi_
-                             : pre_lo_,
-                         r);
+            enqueue(r, /*prefill=*/true);
             continue;
         }
         ttfts_.push_back(now_ - requests_[r].arrival);
         if (tokens_left_[r] == 0) {
             if (kv_on_) {
-                if (prefix_on_ && prefix_share_[r] >= 0) {
-                    state_.kv_release(prefix_kv_id(prefix_share_[r]));
-                    prefix_share_[r] = -1;
-                }
-                state_.kv_free(r);
-                kv_tokens_[r] = -1;
+                kv_retire(r, /*completed=*/true);
             }
             record_completion(r);
             continue;
         }
-        queue_insert(
-            requests_[r].priority == Priority::kHigh ? dec_hi_ : dec_lo_,
-            r);
+        enqueue(r, /*prefill=*/false);
     }
     release_scratch(std::move(fulls));
     release_scratch(std::move(residuals));
@@ -1390,127 +1229,102 @@ DisaggRun::run_prefill_iteration(ClaimMode mode, bool interruptible,
 }
 
 void
-DisaggRun::run_decode_iteration(bool interruptible)
+DisaggRun::run_decode_iteration(ClaimMode mode)
 {
+    // A nested (preemption) iteration claims a mini batch of its own;
+    // the persistent batch stays with the parked victim.
+    const bool nested = mode != ClaimMode::kAll;
+    std::vector<int> mini;
+    if (nested) {
+        mini = acquire_scratch();
+    }
+    std::vector<int>& batch = nested ? mini : running_;
     // Iteration-level batching: waiting requests claim free batch
-    // slots at the iteration boundary, high-priority first.
-    // claim() caps the list's total size, so appending to running_
-    // directly fills exactly the free batch slots.
-    if (kv_locality_on_) {
+    // slots at the iteration boundary, high-priority first. claim()
+    // caps the list's total size, so appending to the persistent
+    // batch directly fills exactly the free slots.
+    const bool locality = kv_locality_on_ && !nested;
+    if (locality) {
         // Locality-aware membership: free slots fill with KV-resident
         // requests first; spilled requests run only when nothing
         // resident can (each pass-over counts one kv_locality_skips),
         // so a hot batch never thrashes its SRAM residency streaming
-        // a cold segment back mid-flight.
-        claim_kv_resident(dec_hi_, dec_lo_, opts_.max_batch, running_);
-        if (running_.empty()) {
-            claim(dec_hi_, dec_lo_, opts_.max_batch, ClaimMode::kAll,
-                  running_);
-        }
-    } else {
-        claim(dec_hi_, dec_lo_, opts_.max_batch, ClaimMode::kAll,
-              running_);
+        // a cold segment back mid-flight. No fairness window opens
+        // here: the full claim below opens them when nothing resident
+        // could run at all.
+        claim(
+            dec_hi_, dec_lo_, opts_.max_batch, mode, batch,
+            [&](int r) {
+                if (kv_tokens_[r] < 0 || !state_.kv_resident(r)) {
+                    ++rep_.kv_locality_skips;
+                    return Verdict::kSkip;
+                }
+                return Verdict::kTake;
+            },
+            /*open_windows=*/false);
+    }
+    if (!locality || batch.empty()) {
+        claim(dec_hi_, dec_lo_, opts_.max_batch, mode, batch,
+              [](int) { return Verdict::kTake; });
     }
     rep_.peak_queue_depth = std::max(
         rep_.peak_queue_depth, static_cast<int>(waiting_total()));
 
-    int bucket = pick_bucket(opts_.batch_buckets,
-                             static_cast<int>(running_.size()));
+    int bucket =
+        pick_bucket(opts_.batch_buckets, static_cast<int>(batch.size()));
     std::shared_ptr<const sim::SimProgram> program =
         decode_src_ ? decode_src_(bucket) : nullptr;
     util::check(program != nullptr,
                 "Server: decode ProgramSource returned no program");
 
     if (kv_on_) {
-        kv_prepare(running_);
+        kv_prepare(batch);
     }
     bool protected_iter = false;
     iter_min_deadline_ = kInf;
-    for (int r : running_) {
+    for (int r : batch) {
         protected_iter |= requests_[r].priority == Priority::kHigh;
         if (slo_on_) {
+            const int t = requests_[r].tenant;
             iter_min_deadline_ =
                 std::min(iter_min_deadline_, effective_deadline(r));
-            ++tenant_tokens_[requests_[r].tenant];
-            deficit_[requests_[r].tenant] -= 1.0;
+            ++rep_.tenant_shares[t].tokens;
+            deficit_[t] -= 1.0;
         }
     }
-    IterOutcome o = execute(*program, interruptible && !protected_iter);
-    account(o, /*decode=*/true, /*nested=*/false);
-    rep_.tokens += static_cast<int64_t>(running_.size());
+    IterOutcome o = execute(*program, !nested && !protected_iter);
+    account(o, /*decode=*/true, nested);
+    rep_.tokens += static_cast<int64_t>(batch.size());
 
-    // Every running request produced one token this iteration.
-    for (auto it = running_.begin(); it != running_.end();) {
+    // Every member produced one token this iteration.
+    for (auto it = batch.begin(); it != batch.end();) {
         bool done = --tokens_left_[*it] == 0;
         if (kv_on_) {
             kv_retire(*it, done);
         }
         if (done) {
             record_completion(*it);
-            it = running_.erase(it);
+            it = batch.erase(it);
         } else {
             ++it;
         }
     }
-}
-
-void
-DisaggRun::run_decode_mini(ClaimMode mode)
-{
-    std::vector<int> mini = acquire_scratch();
-    claim(dec_hi_, dec_lo_, opts_.max_batch, mode, mini);
-    rep_.peak_queue_depth = std::max(
-        rep_.peak_queue_depth, static_cast<int>(waiting_total()));
-    int bucket = pick_bucket(opts_.batch_buckets,
-                             static_cast<int>(mini.size()));
-    std::shared_ptr<const sim::SimProgram> program =
-        decode_src_ ? decode_src_(bucket) : nullptr;
-    util::check(program != nullptr,
-                "Server: decode ProgramSource returned no program");
-
-    if (kv_on_) {
-        kv_prepare(mini);
+    if (!nested) {
+        return;
     }
-    if (slo_on_) {
-        for (int r : mini) {
-            ++tenant_tokens_[requests_[r].tenant];
-            deficit_[requests_[r].tenant] -= 1.0;
-        }
-    }
-    IterOutcome o = execute(*program, /*can_preempt=*/false);
-    account(o, /*decode=*/true, /*nested=*/true);
-    rep_.tokens += static_cast<int64_t>(mini.size());
-
-    // Completions leave; survivors return to the head of the
+    // A mini batch's survivors return to the head of the
     // high-priority queue (or, with slo, to their EDF slot in their
-    // own class) and merge into the running batch at the next
+    // own class) and merge into the running batch at a later
     // boundary.
-    std::vector<int> survivors = acquire_scratch();
-    for (int r : mini) {
-        bool done = --tokens_left_[r] == 0;
-        if (kv_on_) {
-            kv_retire(r, done);
-        }
-        if (done) {
-            record_completion(r);
-        } else {
-            survivors.push_back(r);
-        }
-    }
     if (!slo_on_) {
-        for (auto it = survivors.rbegin(); it != survivors.rend();
-             ++it) {
+        for (auto it = mini.rbegin(); it != mini.rend(); ++it) {
             dec_hi_.push_front(*it);
         }
     } else {
-        for (int r : survivors) {
-            queue_insert(requests_[r].priority == Priority::kHigh
-                             ? dec_hi_
-                             : dec_lo_,
-                         r);
+        for (int r : mini) {
+            enqueue(r, /*prefill=*/false);
         }
     }
-    release_scratch(std::move(survivors));
     release_scratch(std::move(mini));
 }
 
@@ -1576,37 +1390,11 @@ DisaggRun::finalize()
         rep_.tenants = opts_.tenants;
         rep_.deadline_preemptions = deadline_preemptions_;
         rep_.fairness_windows = fairness_windows_;
-        int64_t total_work = 0;
-        for (int64_t w : tenant_tokens_) {
-            total_work += w;
-        }
-        for (int t = 0; t < opts_.tenants; ++t) {
-            ServingReport::TenantShare s;
-            s.tenant = t;
-            s.requests = tenant_requests_[t];
-            s.tokens = tenant_tokens_[t];
-            s.token_share =
-                total_work > 0 ? static_cast<double>(tenant_tokens_[t]) /
-                                     static_cast<double>(total_work)
-                               : 0.0;
-            s.deadline_requests = tenant_deadline_reqs_[t];
-            s.deadline_misses = tenant_deadline_miss_[t];
-            s.attainment =
-                s.deadline_requests > 0
-                    ? static_cast<double>(s.deadline_requests -
-                                          s.deadline_misses) /
-                          static_cast<double>(s.deadline_requests)
-                    : 1.0;
+        for (const ServingReport::TenantShare& s : rep_.tenant_shares) {
             rep_.deadline_requests += s.deadline_requests;
             rep_.deadline_misses += s.deadline_misses;
-            rep_.tenant_shares.push_back(s);
         }
-        rep_.slo_attainment =
-            rep_.deadline_requests > 0
-                ? static_cast<double>(rep_.deadline_requests -
-                                      rep_.deadline_misses) /
-                      static_cast<double>(rep_.deadline_requests)
-                : 1.0;
+        rep_.slo_attainment = finish_tenant_shares(rep_.tenant_shares);
         if (!latenesses_.empty()) {
             std::sort(latenesses_.begin(), latenesses_.end());
             rep_.p99_lateness =
@@ -1727,19 +1515,27 @@ DisaggRun::run()
     rep_.kv_locality = kv_locality_on_;
     if (slo_on_) {
         const int t = opts_.tenants;
-        tenant_tokens_.assign(t, 0);
-        tenant_requests_.assign(t, 0);
-        tenant_deadline_reqs_.assign(t, 0);
-        tenant_deadline_miss_.assign(t, 0);
+        // The per-tenant roll-up accumulates in place: request counts
+        // here, work tokens as iterations execute, misses as deadline
+        // carriers complete.
+        rep_.tenant_shares.resize(t);
+        for (int i = 0; i < t; ++i) {
+            rep_.tenant_shares[i].tenant = i;
+        }
         for (int i = 0; i < n; ++i) {
-            ++tenant_requests_[requests_[i].tenant];
+            ServingReport::TenantShare& s =
+                rep_.tenant_shares[requests_[i].tenant];
+            ++s.requests;
             if (requests_[i].deadline_s > 0.0) {
-                ++tenant_deadline_reqs_[requests_[i].tenant];
+                ++s.deadline_requests;
             }
         }
-        // Per-window quanta: fairness_tokens split by normalized
-        // share. The Server constructor resolved fairness_tokens and
-        // validated the share vector (positive, one per tenant).
+        // Per-window quanta: a window of one full decode batch plus
+        // one maximal prompt — enough that a lone tenant never stalls
+        // between windows, small enough that shares bite within a few
+        // iterations under contention — split by normalized share.
+        // The Server constructor validated the share vector
+        // (positive, one per tenant).
         std::vector<double> shares = opts_.tenant_shares;
         if (shares.empty()) {
             shares.assign(t, 1.0);
@@ -1748,11 +1544,11 @@ DisaggRun::run()
         for (double w : shares) {
             wsum += w;
         }
+        const double window =
+            static_cast<double>(opts_.max_batch + opts_.max_prompt_len);
         quantum_.resize(t);
         for (int i = 0; i < t; ++i) {
-            quantum_[i] =
-                static_cast<double>(opts_.fairness_tokens) * shares[i] /
-                wsum;
+            quantum_[i] = window * shares[i] / wsum;
         }
         // Every tenant starts with a full window (not counted in
         // fairness_windows_ — no claim was ever blocked for it).
@@ -1788,7 +1584,7 @@ DisaggRun::run()
                     // iteration runs between its chunks — the
                     // head-of-line win chunking exists for.
                     ++rep_.chunk_decode_interleaves;
-                    run_decode_iteration(/*interruptible=*/true);
+                    run_decode_iteration(ClaimMode::kAll);
                     continue;
                 }
             }
@@ -1801,18 +1597,16 @@ DisaggRun::run()
                 if (!running_.empty() || !dec_hi_.empty() ||
                     !dec_lo_.empty()) {
                     ++rep_.deferred_admissions;
-                    run_decode_iteration(/*interruptible=*/true);
+                    run_decode_iteration(ClaimMode::kAll);
                 } else {
                     run_prefill_iteration(ClaimMode::kAll,
-                                          /*interruptible=*/true,
                                           /*force_admit=*/true);
                 }
             } else {
-                run_prefill_iteration(ClaimMode::kAll,
-                                      /*interruptible=*/true);
+                run_prefill_iteration(ClaimMode::kAll);
             }
         } else {
-            run_decode_iteration(/*interruptible=*/true);
+            run_decode_iteration(ClaimMode::kAll);
         }
     }
     finalize();
@@ -2407,8 +2201,6 @@ Server::Server(const sim::Machine& machine, ServerOptions opts)
                     "by");
     }
     util::check(opts_.tenants >= 1, "Server: tenants must be >= 1");
-    util::check(opts_.fairness_tokens >= 0,
-                "Server: fairness_tokens must be >= 0 (0 auto-sizes)");
     util::check(opts_.preempt_budget >= 0,
                 "Server: preempt_budget must be >= 0 (0 disables "
                 "deadline preemption)");
@@ -2426,14 +2218,6 @@ Server::Server(const sim::Machine& machine, ServerOptions opts)
             util::check(w > 0.0,
                         "Server: tenant share weights must be "
                         "positive");
-        }
-        if (opts_.fairness_tokens == 0) {
-            // Auto-size a window to one full decode batch plus one
-            // maximal prompt: enough that a lone tenant never stalls
-            // between windows, small enough that shares bite within a
-            // few iterations under contention.
-            opts_.fairness_tokens =
-                opts_.max_batch + opts_.max_prompt_len;
         }
     }
 }

@@ -348,17 +348,12 @@ struct ServerOptions {
     /// > 1 requires slo.
     int tenants = 1;
     /// Per-tenant fairness weights (relative, normalized internally).
-    /// Empty (default) = equal shares; otherwise exactly `tenants`
-    /// positive entries. Requires slo when non-empty.
+    /// Each fairness window grants the tenants max_batch +
+    /// max_prompt_len work tokens in these proportions
+    /// (deficit-round-robin). Empty (default) = equal shares;
+    /// otherwise exactly `tenants` positive entries. Requires slo when
+    /// non-empty.
     std::vector<double> tenant_shares;
-    /// Token budget one fairness window distributes across tenants in
-    /// proportion to their shares (deficit-round-robin). A tenant
-    /// claims batch slots only while its budget is positive; the
-    /// window replenishes whenever waiting work exists but nothing is
-    /// claimable, so scheduling stays work-conserving — shares govern
-    /// claim *order* under contention, never idle the chip. 0
-    /// (default) auto-sizes to max_batch + max_prompt_len.
-    int fairness_tokens = 0;
     /// Deadline preemptions one request may *trigger* (each firing
     /// decrements the triggering request's budget; riders served by
     /// the same nested iteration spend nothing). 0 disables deadline

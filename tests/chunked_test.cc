@@ -40,18 +40,14 @@ tiny_chip()
     return chip;
 }
 
-/// The trailing chunk/locality block of ServingReport::serialize_bits
-/// (prefill_chunk + three int64 counters + kv_locality byte +
-/// kv_locality_skips) — the only block that may differ between a
-/// chunk-off and a single-chunk serve of the same trace.
-constexpr size_t kChunkBlock = 4 + 3 * 8 + 1 + 8;
-
-/// @p bits minus the trailing chunk/locality block.
+/// @p bits minus the trailing chunk/locality block — the only block
+/// that may differ between a chunk-off and a single-chunk serve of the
+/// same trace.
 std::string
 strip_chunk_block(const std::string& bits)
 {
-    EXPECT_GE(bits.size(), kChunkBlock);
-    return bits.substr(0, bits.size() - kChunkBlock);
+    EXPECT_GE(bits.size(), testing::kChunkBlock);
+    return bits.substr(0, bits.size() - testing::kChunkBlock);
 }
 
 class ChunkedServingTest : public ::testing::Test {

@@ -55,10 +55,9 @@ bits_before_prefix_block(const runtime::ServingReport& rep)
     std::string bits = rep.serialize_bits();
     EXPECT_FALSE(rep.slo);
     EXPECT_EQ(rep.prefill_chunk, 0);
-    constexpr size_t kChunkBlock = 4 + 3 * 8 + 1 + 8;
-    constexpr size_t kSloBlock = 1 + 3 * 4 + 3 * 8 + 4 + 8 + 4;
-    constexpr size_t kPrefixBlock = 1 + 4 * 8;
-    constexpr size_t kTail = kPrefixBlock + kSloBlock + kChunkBlock;
+    constexpr size_t kTail = testing::kPrefixBlock +
+                             testing::kSloBlockEmpty +
+                             testing::kChunkBlock;
     EXPECT_GE(bits.size(), kTail);
     return bits.substr(0, bits.size() - kTail);
 }

@@ -5,15 +5,25 @@
  * x residency policy x locality) over random traces, each serve
  * checked against conservation invariants (every request completes
  * exactly once, prompt tokens partition into ingested + prefix-hit,
- * per-tenant roll-ups partition the totals) and against itself:
- * serve-twice bit-identity and --jobs 1 vs --jobs 4 compiler
- * bit-identity. Failures print the offending config seed. Plus
- * backfill units for tag_deadlines(), tag_tenants() and pick_bucket()
- * on residual chunk lengths.
+ * per-tenant roll-ups partition the totals), against itself
+ * (serve-twice bit-identity and --jobs 1 vs --jobs 4 compiler
+ * bit-identity) and against recorded golden digests of every config's
+ * report (tests/data/sched_property_digests.txt), so a scheduler
+ * change that shifts behaviour consistently still fails. Failures
+ * print the offending config seed. Plus backfill units for
+ * tag_deadlines(), tag_tenants() and pick_bucket() on residual chunk
+ * lengths.
+ *
+ * The golden file is rewritten, instead of checked, by running
+ *   ELK_RECORD_SCHED_DIGESTS=<file> ./sched_property_test
+ * — only for a change that is meant to alter simulated output.
  */
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
+#include <fstream>
+#include <map>
 #include <random>
 #include <sstream>
 #include <vector>
@@ -23,6 +33,7 @@
 #include "graph/model_builder.h"
 #include "runtime/server.h"
 #include "test_helpers.h"
+#include "util/bits.h"
 
 namespace elk {
 namespace {
@@ -44,6 +55,38 @@ tiny_chip()
     chip.mesh_width = 8;
     chip.mesh_height = 8;
     return chip;
+}
+
+/// FNV-1a hex digest of a report's exact bit serialization.
+std::string
+digest(const runtime::ServingReport& rep)
+{
+    const std::string bits = rep.serialize_bits();
+    util::Fnv1a h;
+    h.mix(bits.data(), bits.size());
+    return h.hex();
+}
+
+/// The recorded golden digests: config seed -> report digest. Lines
+/// are "<seed> <digest>"; '#' starts a comment line.
+std::map<uint64_t, std::string>
+load_golden_digests(const std::string& path)
+{
+    std::map<uint64_t, std::string> out;
+    std::ifstream in(path);
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.empty() || line[0] == '#') {
+            continue;
+        }
+        std::istringstream fields(line);
+        uint64_t seed = 0;
+        std::string hex;
+        if (fields >> seed >> hex) {
+            out[seed] = hex;
+        }
+    }
+    return out;
 }
 
 /// One drawn scheduler configuration + trace, fully determined by its
@@ -195,10 +238,22 @@ class SchedPropertyTest : public ::testing::Test {
 // tenant roll-ups partition both totals; (b) reproduce itself —
 // serving the same trace twice through the same programs is
 // bit-identical; (c) be compiler-parallelism-blind — programs built
-// with --jobs 4 serve bit-identically to --jobs 1.
+// with --jobs 4 serve bit-identically to --jobs 1; (d) match the
+// digest recorded for its seed.
 TEST_F(SchedPropertyTest, RandomConfigsConserveAndReproduce)
 {
     constexpr int kConfigs = 200;
+    const std::string golden_path =
+        std::string(ELK_TEST_DATA_DIR) + "/sched_property_digests.txt";
+    const char* record_path = std::getenv("ELK_RECORD_SCHED_DIGESTS");
+    std::ostringstream recorded;
+    std::map<uint64_t, std::string> golden;
+    if (record_path == nullptr) {
+        golden = load_golden_digests(golden_path);
+        ASSERT_EQ(golden.size(), static_cast<size_t>(kConfigs))
+            << "golden digest file " << golden_path
+            << " must carry one digest per config";
+    }
     for (int i = 0; i < kConfigs; ++i) {
         Config cfg = draw_config(i);
         SCOPED_TRACE(cfg.describe());
@@ -276,9 +331,26 @@ TEST_F(SchedPropertyTest, RandomConfigsConserveAndReproduce)
         auto parallel = serve(dc4, pc4);
         EXPECT_EQ(rep.serialize_bits(), parallel.serialize_bits());
 
+        // (d) the recorded golden digest.
+        if (record_path != nullptr) {
+            recorded << cfg.seed << " " << digest(rep) << "\n";
+        } else {
+            EXPECT_EQ(digest(rep), golden[cfg.seed])
+                << "golden digest mismatch at config seed " << cfg.seed;
+        }
+
         if (::testing::Test::HasFailure()) {
             FAIL() << "stopping at first failing " << cfg.describe();
         }
+    }
+    if (record_path != nullptr) {
+        std::ofstream out(record_path);
+        out << "# FNV-1a digests of ServingReport::serialize_bits(), one "
+               "per\n# SchedPropertyTest config: <config seed> <digest>.\n"
+               "# Rewrite with ELK_RECORD_SCHED_DIGESTS=<file> "
+               "./sched_property_test\n"
+            << recorded.str();
+        ASSERT_TRUE(out.good()) << "could not write " << record_path;
     }
 }
 

@@ -39,22 +39,15 @@ tiny_chip()
     return chip;
 }
 
-/// Trailing serialize_bits() block sizes (see ServingReport::
-/// serialize_bits — the prefix, SLO and chunk blocks are the fixed
-/// suffix, chunk last). The anchor strips the SLO block and the
-/// chunk/locality block behind it (chunking is off on both sides) to
-/// compare everything in front.
-constexpr size_t kSloBlockEmpty = 1 + 3 * 4 + 3 * 8 + 4 + 8 + 4;
-constexpr size_t kTenantEntry = 4 + 4 + 8 + 8 + 4 + 4 + 8;
-constexpr size_t kChunkBlock = 4 + 3 * 8 + 1 + 8;
-
 /// @p bits minus the trailing SLO block carrying @p tenants entries
-/// (and the chunk/locality block behind it).
+/// and the chunk/locality block behind it (chunking is off on both
+/// sides of the anchor) — everything in front is compared.
 std::string
 strip_slo_block(const std::string& bits, int tenants)
 {
-    const size_t tail =
-        kSloBlockEmpty + tenants * kTenantEntry + kChunkBlock;
+    const size_t tail = testing::kSloBlockEmpty +
+                        tenants * testing::kTenantEntry +
+                        testing::kChunkBlock;
     EXPECT_GE(bits.size(), tail);
     return bits.substr(0, bits.size() - tail);
 }

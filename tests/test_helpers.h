@@ -6,6 +6,7 @@
 #ifndef ELK_TESTS_TEST_HELPERS_H
 #define ELK_TESTS_TEST_HELPERS_H
 
+#include <cstddef>
 #include <memory>
 
 #include "cost/exec_cost.h"
@@ -16,6 +17,21 @@
 #include "hw/traffic.h"
 
 namespace elk::testing {
+
+/// Sizes of the trailing ServingReport::serialize_bits() blocks, in
+/// serialization order (prefix, SLO, chunk/locality — the fixed suffix
+/// the feature-off anchors strip to compare everything in front).
+/// prefix block: u8 flag + 4 x 8-byte counters.
+constexpr size_t kPrefixBlock = 1 + 4 * 8;
+/// SLO block with no tenant entries: u8 flag + tenants, deadline
+/// requests and misses + attainment and two lateness doubles +
+/// deadline preemptions + int64 fairness windows + entry count.
+constexpr size_t kSloBlockEmpty = 1 + 3 * 4 + 3 * 8 + 4 + 8 + 4;
+/// One TenantShare entry of the SLO block.
+constexpr size_t kTenantEntry = 4 + 4 + 8 + 8 + 4 + 4 + 8;
+/// chunk/locality block: prefill_chunk + three int64 counters +
+/// kv_locality byte + kv_locality_skips.
+constexpr size_t kChunkBlock = 4 + 3 * 8 + 1 + 8;
 
 /// A small but non-trivial LLM config that compiles in milliseconds.
 inline graph::ModelConfig

@@ -16,8 +16,9 @@ Four classes of rot this catches:
  3. Command-line flags the user docs name (`--kv-budget`, `--jobs`,
     ...) that no driver actually parses: every `--flag` token in
     README.md, ROADMAP.md, and docs/*.md must appear as a string
-    literal in tools/*.{cc,py}, bench/*.{cc,h}, or examples/*.cc,
-    except for a small allowlist of external tools' flags (ctest,
+    literal in tools/*.{cc,py}, bench/*.{cc,h}, examples/*.cc, or
+    elkbench/run.py (the repository benchmark's entry point, only
+    read), except for a small allowlist of external tools' flags (ctest,
     cmake, google-benchmark). This is what stops the docs from
     drifting when a driver renames a flag.
  4. TODO/FIXME markers inside docs/*.md — user docs must not ship
@@ -116,6 +117,9 @@ def known_flags():
         for name in sorted(os.listdir(directory)):
             if name.endswith(exts):
                 sources.append(os.path.join(directory, name))
+    bench_entry = os.path.join(REPO, "elkbench", "run.py")
+    if os.path.isfile(bench_entry):
+        sources.append(bench_entry)
     for src in sources:
         with open(src, encoding="utf-8") as f:
             flags |= set(SRC_FLAG_RE.findall(f.read()))
@@ -187,8 +191,8 @@ def check_flags(md_path, flags, errors):
             continue
         errors.append(
             f"{rel}: names flag '{flag}' but no driver "
-            "(tools/*.{cc,py}, bench/*.{cc,h}, examples/*.cc) "
-            "parses it"
+            "(tools/*.{cc,py}, bench/*.{cc,h}, examples/*.cc, "
+            "elkbench/run.py) parses it"
         )
 
 
@@ -228,6 +232,8 @@ def doc_binaries(md_path, binaries, errors):
         after = text[match.end() : match.end() + 1]
         if after == "*" or token.endswith("_"):
             continue  # a glob like bench_* / bench_fig*, not a name
+        if text[match.start() - 1 : match.start()] == ".":
+            continue  # a dot-directory like .bench_build, not a name
         if token in binaries:
             named.add(token)
         elif token.startswith("bench_"):
