@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 
 #include "cost/hbm_cost.h"
 #include "util/logging.h"
@@ -96,45 +97,82 @@ InductiveScheduler::schedule(const std::vector<int>& preload_order,
         lo[i] = running + 1;
     }
 
+    // first_above[i]: smallest position holding an operator > i (m
+    // when none). Positions before it never hold a live operator of
+    // step i, and every position >= lo[i] does.
+    std::vector<int> first_above(m, m);
+    for (int i = m - 2; i >= 0; --i) {
+        first_above[i] = std::min(first_above[i + 1], pos[i + 1]);
+    }
+
     // --- backward induction state ---
     std::vector<int> exec_choice(m, 0);
     std::vector<int> preload_choice(m, 0);  // tightening-only floor
     std::vector<double> t_exe_start(m, 0.0);
-    std::vector<double> t_pre_start(m, 0.0);  // by position
+    // By position. Step i writes its ALAP chain over [lo[i], F_{i+1})
+    // here; only [F_i, F_{i+1}) is committed, the rest is rewritten by
+    // later steps and the final pass.
+    std::vector<double> t_pre_start(m, 0.0);
     std::vector<int> slot_of_pos(m, 0);
+    // Per committed op: its preload front (resolved once, from its
+    // fixed exec plan) and the duration of its current preload_choice.
+    std::vector<const std::vector<plan::PreloadPlan>*> pre_front(m);
+    std::vector<double> pre_duration(m, 0.0);
     int frontier_next = m;  // F_{i+1} of the step being processed
 
-    // Scratch buffers reused across candidates.
+    // ALAP preload starts for positions [from, to), chained backward
+    // from the committed start at position `to`.
+    auto chain_alap = [&](int from, int to) {
+        double next_start = to < m ? t_pre_start[to] : kInf;
+        for (int r = to - 1; r >= from; --r) {
+            int j = order[r];
+            next_start = std::min(next_start, t_exe_start[j]) -
+                         pre_duration[j];
+            t_pre_start[r] = next_start;
+        }
+    };
+
+    // Scratch buffers reused across steps.
     std::vector<int> live, live_exec, live_floor;
-    std::vector<double> chain;
+    std::vector<int> own_anchor;
 
     for (int i = m - 1; i >= 0; --i) {
         if (lo[i] > frontier_next) {
             return std::nullopt;  // order forces issue after own execute
         }
 
+        // Live set at frontier lo[i]: issued before execute(i), not yet
+        // executed, in ascending position order. Each larger frontier
+        // appends exactly the next position. Live ops are committed, so
+        // their preload_choice (which starts at their policy anchor and
+        // only tightens) is the allocator's floor.
+        live.clear();
+        live_exec.clear();
+        live_floor.clear();
+        auto push_live = [&](int j) {
+            live.push_back(j);
+            live_exec.push_back(exec_choice[j]);
+            live_floor.push_back(preload_choice[j]);
+        };
+        for (int r = first_above[i]; r < lo[i]; ++r) {
+            if (order[r] > i) {
+                push_live(order[r]);
+            }
+        }
+        // The chain does not depend on the candidate frontier: the
+        // next preload after frontier f starts at t_pre_start[f].
+        chain_alap(lo[i], frontier_next);
+        const double exec_end_bound = i + 1 < m ? t_exe_start[i + 1] : 0.0;
+        // Policy anchor of op i per exec plan the allocator picks.
+        own_anchor.assign(library_.exec_plans(i).size(), -1);
+
         double best_start = -kInf;
         int best_frontier = -1;
         AllocationChoice best_alloc;
-        std::vector<int> best_live;
-        std::vector<double> best_chain;
 
         for (int frontier = lo[i]; frontier <= frontier_next; ++frontier) {
-            // Live set: issued before execute(i), not yet executed.
-            live.clear();
-            live_exec.clear();
-            live_floor.clear();
-            for (int r = 0; r < frontier; ++r) {
-                int j = order[r];
-                if (j > i) {
-                    live.push_back(j);
-                    live_exec.push_back(exec_choice[j]);
-                    live_floor.push_back(std::max(
-                        preload_choice[j],
-                        policy_start(library_.preload_plans(
-                                         j, exec_choice[j]),
-                                     opts.overhead_weight)));
-                }
+            if (frontier > lo[i]) {
+                push_live(order[frontier - 1]);
             }
             if (static_cast<int>(live.size()) > opts.max_window) {
                 break;
@@ -145,24 +183,7 @@ InductiveScheduler::schedule(const std::vector<int>& preload_order,
                 break;  // larger frontiers only add live operators
             }
 
-            // ALAP preload chain for positions [frontier, F_{i+1}).
-            double next_start =
-                frontier_next < m ? t_pre_start[frontier_next] : kInf;
-            chain.assign(frontier_next - frontier, 0.0);
-            for (int r = frontier_next - 1; r >= frontier; --r) {
-                int j = order[r];
-                const auto& pre_front =
-                    library_.preload_plans(j, exec_choice[j]);
-                double d =
-                    preload_duration(j, pre_front[preload_choice[j]]);
-                double start =
-                    std::min(next_start, t_exe_start[j]) - d;
-                chain[r - frontier] = start;
-                next_start = start;
-            }
-
-            double exec_end_bound =
-                i + 1 < m ? t_exe_start[i + 1] : 0.0;
+            double next_start = frontier < m ? t_pre_start[frontier] : kInf;
             double exec_end = std::min(exec_end_bound, next_start);
             // The operator's own data-distribution phase runs on its
             // execute critical path; price it with the preload plan
@@ -170,21 +191,20 @@ InductiveScheduler::schedule(const std::vector<int>& preload_order,
             // it under memory pressure).
             const auto& own_cand_front =
                 library_.preload_plans(i, alloc.exec_idx);
-            double own_dist =
-                own_cand_front[policy_start(own_cand_front,
-                                            opts.overhead_weight)]
-                    .distribute_time;
+            int& anchor = own_anchor[alloc.exec_idx];
+            if (anchor < 0) {
+                anchor = policy_start(own_cand_front, opts.overhead_weight);
+            }
             double cand_start =
-                exec_end - (alloc.exec_time + own_dist);
+                exec_end -
+                (alloc.exec_time + own_cand_front[anchor].distribute_time);
             // Ties favor the larger frontier: preloading further ahead
             // is free when memory allows and absorbs timing jitter the
             // estimate cannot see (e.g., per-op HBM access latency).
             if (cand_start >= best_start) {
                 best_start = cand_start;
                 best_frontier = frontier;
-                best_alloc = alloc;
-                best_live = live;
-                best_chain = chain;
+                best_alloc = std::move(alloc);
             }
         }
 
@@ -194,37 +214,30 @@ InductiveScheduler::schedule(const std::vector<int>& preload_order,
 
         // Commit the winning frontier.
         exec_choice[i] = best_alloc.exec_idx;
-        preload_choice[i] = policy_start(
-            library_.preload_plans(i, exec_choice[i]),
-            opts.overhead_weight);
+        pre_front[i] = &library_.preload_plans(i, exec_choice[i]);
+        preload_choice[i] = own_anchor[exec_choice[i]];
+        pre_duration[i] =
+            preload_duration(i, (*pre_front[i])[preload_choice[i]]);
         t_exe_start[i] = best_start;
-        for (size_t jj = 0; jj < best_live.size(); ++jj) {
-            int j = best_live[jj];
-            preload_choice[j] =
-                std::max(preload_choice[j], best_alloc.preload_idx[jj]);
+        // The winner's live set is the first preload_idx.size() entries
+        // of the largest one built.
+        for (size_t jj = 0; jj < best_alloc.preload_idx.size(); ++jj) {
+            int j = live[jj];
+            if (best_alloc.preload_idx[jj] > preload_choice[j]) {
+                preload_choice[j] = best_alloc.preload_idx[jj];
+                pre_duration[j] =
+                    preload_duration(j, (*pre_front[j])[preload_choice[j]]);
+            }
         }
         for (int r = best_frontier; r < frontier_next; ++r) {
-            t_pre_start[r] = best_chain[r - best_frontier];
             slot_of_pos[r] = i + 1;
         }
         frontier_next = best_frontier;
     }
 
-    // Positions before the final frontier are issued before execute(0).
-    {
-        double next_start =
-            frontier_next < m ? t_pre_start[frontier_next] : kInf;
-        for (int r = frontier_next - 1; r >= 0; --r) {
-            int j = order[r];
-            const auto& pre_front =
-                library_.preload_plans(j, exec_choice[j]);
-            double d = preload_duration(j, pre_front[preload_choice[j]]);
-            double start = std::min(next_start, t_exe_start[j]) - d;
-            t_pre_start[r] = start;
-            slot_of_pos[r] = 0;
-            next_start = start;
-        }
-    }
+    // Positions before the final frontier are issued before execute(0)
+    // (slot 0).
+    chain_alap(0, frontier_next);
 
     // --- assemble the plan ---
     ExecutionPlan plan;
@@ -233,9 +246,9 @@ InductiveScheduler::schedule(const std::vector<int>& preload_order,
         OpSchedule& sched = plan.ops[i];
         sched.op_id = i;
         sched.exec = library_.exec_plans(i)[exec_choice[i]];
-        const auto& pre_front = library_.preload_plans(i, exec_choice[i]);
-        sched.preload = pre_front[std::min<int>(
-            preload_choice[i], static_cast<int>(pre_front.size()) - 1)];
+        const auto& front = *pre_front[i];
+        sched.preload = front[std::min<int>(
+            preload_choice[i], static_cast<int>(front.size()) - 1)];
         sched.est_exec_time = sched.exec.exec_time;
         sched.est_preload_time = preload_duration(i, sched.preload);
     }

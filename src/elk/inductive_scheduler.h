@@ -12,9 +12,17 @@
  *
  * Times are backward-relative: T_end = 0 and all start times are
  * negative. For each candidate frontier the scheduler invokes the
- * allocator on the live set, chains ALAP preload start estimates, and
- * picks the frontier maximizing T_s-exe(i) — exactly the paper's
- * "minimize current-to-end time" rule (Theorem 4.2).
+ * allocator on the live set, reads the ALAP preload start estimate
+ * that follows it, and picks the frontier maximizing T_s-exe(i) —
+ * exactly the paper's "minimize current-to-end time" rule
+ * (Theorem 4.2).
+ *
+ * Cost per step i: one live-set build at frontier lo[i], scanning
+ * only from first_above[i] (the smallest position holding an operator
+ * > i), and one ALAP chain over [lo[i], F_{i+1}), which does not
+ * depend on the candidate frontier. Each candidate frontier then adds
+ * one incremental live-set extension (the next position) and one
+ * allocator call.
  */
 #ifndef ELK_ELK_INDUCTIVE_SCHEDULER_H
 #define ELK_ELK_INDUCTIVE_SCHEDULER_H

@@ -21,19 +21,19 @@ MemoryAllocator::allocate(int current_op, const std::vector<int>& live_ops,
     choice.exec_idx = 0;
     choice.preload_idx = live_floor_idx;
 
-    // Total footprint of the current selection.
-    auto preload_front = [&](size_t j) -> const auto& {
-        return library_.preload_plans(live_ops[j], live_exec_idx[j]);
-    };
-    auto total_space = [&] {
-        uint64_t space = exec_front[choice.exec_idx].exec_space;
-        for (size_t j = 0; j < live_ops.size(); ++j) {
-            space += preload_front(j)[choice.preload_idx[j]].preload_space;
-        }
-        return space;
-    };
-
-    uint64_t space = total_space();
+    // Each live op's preload front, looked up (and checked) once.
+    std::vector<const std::vector<plan::PreloadPlan>*> fronts(
+        live_ops.size());
+    for (size_t j = 0; j < live_ops.size(); ++j) {
+        fronts[j] = &library_.preload_plans(live_ops[j], live_exec_idx[j]);
+    }
+    // Total footprint of the current selection, kept up to date on
+    // every downgrade (exact uint64_t arithmetic, so it always equals
+    // the recomputed sum).
+    uint64_t space = exec_front[choice.exec_idx].exec_space;
+    for (size_t j = 0; j < live_ops.size(); ++j) {
+        space += (*fronts[j])[choice.preload_idx[j]].preload_space;
+    }
     while (space > budget) {
         // Candidate downgrades: current op's next exec plan, or any
         // live op's next preload plan. Pick max freed-space/added-time.
@@ -56,7 +56,7 @@ MemoryAllocator::allocate(int current_op, const std::vector<int>& live_ops,
             }
         }
         for (size_t j = 0; j < live_ops.size(); ++j) {
-            const auto& front = preload_front(j);
+            const auto& front = *fronts[j];
             if (choice.preload_idx[j] + 1 >=
                 static_cast<int>(front.size())) {
                 continue;
@@ -82,11 +82,14 @@ MemoryAllocator::allocate(int current_op, const std::vector<int>& live_ops,
             return choice;  // every operator already at its smallest plan
         }
         if (best_kind == 0) {
-            ++choice.exec_idx;
+            space -= exec_front[choice.exec_idx].exec_space;
+            space += exec_front[++choice.exec_idx].exec_space;
         } else {
-            ++choice.preload_idx[best_j];
+            const auto& front = *fronts[best_j];
+            int& idx = choice.preload_idx[best_j];
+            space -= front[idx].preload_space;
+            space += front[++idx].preload_space;
         }
-        space = total_space();
     }
 
     choice.feasible = true;
@@ -94,7 +97,7 @@ MemoryAllocator::allocate(int current_op, const std::vector<int>& live_ops,
     choice.exec_time = exec_front[choice.exec_idx].exec_time;
     for (size_t j = 0; j < live_ops.size(); ++j) {
         choice.total_distribute_time +=
-            preload_front(j)[choice.preload_idx[j]].time_cost();
+            (*fronts[j])[choice.preload_idx[j]].time_cost();
     }
     return choice;
 }

@@ -188,29 +188,7 @@ std::vector<int>
 Topology::route(int src, int dst) const
 {
     std::vector<int> path;
-    path.push_back(injection_link(src));
-    if (kind_ == TopologyKind::kMesh2D) {
-        auto [x, y] = mesh_coord(src);
-        auto [dx, dy] = mesh_coord(dst);
-        if (is_hbm_node(src)) {
-            // Edge-distributed PHY: the controller enters the grid at
-            // its edge column in the destination's row.
-            x = hbm_side(src - num_cores_) == 0 ? 0 : width_ - 1;
-            y = dy;
-        }
-        // Dimension-order routing: walk X first, then Y (paper §5).
-        while (x != dx) {
-            int nx = x + (dx > x ? 1 : -1);
-            path.push_back(mesh_link(x, y, nx, y));
-            x = nx;
-        }
-        while (y != dy) {
-            int ny = y + (dy > y ? 1 : -1);
-            path.push_back(mesh_link(x, y, x, ny));
-            y = ny;
-        }
-    }
-    path.push_back(ejection_link(dst));
+    for_each_link(src, dst, [&](int link) { path.push_back(link); });
     return path;
 }
 

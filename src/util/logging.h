@@ -76,6 +76,16 @@ check(bool cond, const std::string& msg)
     }
 }
 
+/// Literal-message overload: builds no std::string unless @p cond fails
+/// (many checks sit on per-iteration paths).
+inline void
+check(bool cond, const char* msg)
+{
+    if (!cond) {
+        panic(msg);
+    }
+}
+
 }  // namespace elk::util
 
 #endif  // ELK_UTIL_LOGGING_H

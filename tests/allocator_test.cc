@@ -4,6 +4,10 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <random>
+#include <vector>
+
 #include "elk/memory_allocator.h"
 #include "test_helpers.h"
 
@@ -135,6 +139,55 @@ TEST_F(AllocatorTest, DowngradesPreloadBeforeCripplingExec)
     if (slowest > 0) {
         EXPECT_LT(choice.exec_idx, std::max(1, slowest));
     }
+}
+
+TEST_F(AllocatorTest, UsedSpaceMatchesChosenPlans)
+{
+    // Seeded random live sets, exec plans, floors and budgets: the
+    // footprint the allocator reports (kept incrementally across its
+    // downgrades) must equal the sum recomputed from the plans it
+    // chose, and feasibility must be exactly "fits the budget".
+    MemoryAllocator alloc(*h_.library);
+    const int n = h_.graph.size();
+    const uint64_t full = h_.ctx.sram_budget();
+    std::mt19937_64 rng(20241018);
+    auto draw = [&](uint64_t bound) {
+        return static_cast<int>(rng() % bound);
+    };
+    int feasible = 0;
+    constexpr int kTrials = 400;
+    for (int trial = 0; trial < kTrials; ++trial) {
+        int cur = draw(n);
+        std::vector<int> live, exec_idx, floor;
+        for (int k = draw(13); k > 0; --k) {
+            int j = draw(n);
+            int e = draw(h_.library->exec_plans(j).size());
+            live.push_back(j);
+            exec_idx.push_back(e);
+            floor.push_back(draw(h_.library->preload_plans(j, e).size()));
+        }
+        uint64_t budget = full / 16 + rng() % full;
+        SCOPED_TRACE("trial " + std::to_string(trial));
+        auto choice = alloc.allocate(cur, live, exec_idx, floor, budget);
+
+        uint64_t expect =
+            h_.library->exec_plans(cur)[choice.exec_idx].exec_space;
+        ASSERT_EQ(choice.preload_idx.size(), live.size());
+        for (size_t j = 0; j < live.size(); ++j) {
+            const auto& front =
+                h_.library->preload_plans(live[j], exec_idx[j]);
+            ASSERT_GE(choice.preload_idx[j], floor[j]);
+            ASSERT_LT(choice.preload_idx[j],
+                      static_cast<int>(front.size()));
+            expect += front[choice.preload_idx[j]].preload_space;
+        }
+        EXPECT_EQ(choice.used_space, expect);
+        EXPECT_EQ(choice.feasible, choice.used_space <= budget);
+        feasible += choice.feasible;
+    }
+    // The draws must exercise both outcomes.
+    EXPECT_GT(feasible, 0);
+    EXPECT_LT(feasible, kTrials);
 }
 
 }  // namespace

@@ -15,9 +15,10 @@
  *  - seeded near-identity permutations (local swaps, mostly feasible)
  *    and seeded random permutations (mostly infeasible -> nullopt);
  *  - limit_ops prefixes.
- * A second test replays the configs through util::ThreadPool at 4
- * jobs: the schedule-elk sweep calls one scheduler concurrently, so
- * it must stay reentrant.
+ * A second test replays the tiny setups' configs and the Llama2-13B
+ * identity-order configs through util::ThreadPool at 4 jobs on each
+ * setup's one scheduler: the schedule-elk sweep calls one scheduler
+ * concurrently, so it must stay reentrant.
  *
  * The golden file is rewritten, instead of checked, by running
  *   ELK_RECORD_SCHEDULER_DIGESTS=<file> ./scheduler_golden_test
@@ -55,10 +56,12 @@ struct Config {
     ScheduleOptions opts;
 };
 
-/// A compiled-context harness plus the preload orders drawn for it.
+/// A compiled-context harness, the one scheduler every config on it
+/// shares, and the preload orders drawn for it.
 struct SchedSetup {
     std::string name;
     std::unique_ptr<testing::CompilerHarness> harness;
+    std::unique_ptr<InductiveScheduler> sched;
     std::vector<std::vector<int>> orders;
     std::vector<std::string> order_names;
 };
@@ -130,6 +133,7 @@ make_setup(const std::string& name, graph::Graph graph,
     setup->harness = std::make_unique<testing::CompilerHarness>(
         std::move(graph), chip);
     const PlanLibrary& library = *setup->harness->library;
+    setup->sched = std::make_unique<InductiveScheduler>(library);
     const int n = library.graph().size();
 
     auto candidates = generate_candidate_orders(
@@ -216,8 +220,7 @@ run_config(const std::vector<std::unique_ptr<SchedSetup>>& setups,
            const Config& cfg)
 {
     const SchedSetup& setup = *setups[cfg.setup];
-    InductiveScheduler sched(*setup.harness->library);
-    auto plan = sched.schedule(setup.orders[cfg.order], cfg.opts);
+    auto plan = setup.sched->schedule(setup.orders[cfg.order], cfg.opts);
     if (!plan) {
         return "nullopt";
     }
@@ -332,8 +335,9 @@ TEST_F(SchedulerGoldenTest, ConcurrentCallsMatchRecordedDigests)
     }
     auto golden = load_golden_digests(std::string(ELK_TEST_DATA_DIR) +
                                       "/scheduler_digests.txt");
-    // Every config of the tiny setups plus the Llama2-13B sweep: one
-    // shared library, called from 4 workers and the caller at once.
+    // Every config of the tiny setups plus the Llama2-13B identity
+    // order: each setup's one scheduler, called from 4 workers and the
+    // caller at once.
     std::vector<const Config*> picked;
     for (const Config& cfg : configs_) {
         if (setups_[cfg.setup]->name.rfind("tiny", 0) == 0 ||
