@@ -146,6 +146,13 @@ InductiveScheduler::schedule(const std::vector<int>& preload_order,
         // appends exactly the next position. Live ops are committed, so
         // their preload_choice (which starts at their policy anchor and
         // only tightens) is the allocator's floor.
+        //
+        // floor_space is the footprint with op i at its fastest exec
+        // plan and every live op at its floor. While it fits the
+        // budget, the allocator would return exactly that selection
+        // without a downgrade, so the frontier needs no allocator call.
+        const auto& exec_front = library_.exec_plans(i);
+        uint64_t floor_space = exec_front[0].exec_space;
         live.clear();
         live_exec.clear();
         live_floor.clear();
@@ -153,6 +160,7 @@ InductiveScheduler::schedule(const std::vector<int>& preload_order,
             live.push_back(j);
             live_exec.push_back(exec_choice[j]);
             live_floor.push_back(preload_choice[j]);
+            floor_space += (*pre_front[j])[preload_choice[j]].preload_space;
         };
         for (int r = first_above[i]; r < lo[i]; ++r) {
             if (order[r] > i) {
@@ -164,7 +172,7 @@ InductiveScheduler::schedule(const std::vector<int>& preload_order,
         chain_alap(lo[i], frontier_next);
         const double exec_end_bound = i + 1 < m ? t_exe_start[i + 1] : 0.0;
         // Policy anchor of op i per exec plan the allocator picks.
-        own_anchor.assign(library_.exec_plans(i).size(), -1);
+        own_anchor.assign(exec_front.size(), -1);
 
         double best_start = -kInf;
         int best_frontier = -1;
@@ -177,10 +185,19 @@ InductiveScheduler::schedule(const std::vector<int>& preload_order,
             if (static_cast<int>(live.size()) > opts.max_window) {
                 break;
             }
-            AllocationChoice alloc = allocator_.allocate(
-                i, live, live_exec, live_floor, budget);
-            if (!alloc.feasible) {
-                break;  // larger frontiers only add live operators
+            // A floor fit is feasible with exec plan 0 and every live
+            // op at its floor. Its preload_idx stays empty, so the
+            // commit below tightens nothing.
+            AllocationChoice alloc;
+            if (floor_space <= budget) {
+                alloc.feasible = true;
+                alloc.exec_time = exec_front[0].exec_time;
+            } else {
+                alloc = allocator_.allocate(i, live, live_exec, live_floor,
+                                            budget);
+                if (!alloc.feasible) {
+                    break;  // larger frontiers only add live operators
+                }
             }
 
             double next_start = frontier < m ? t_pre_start[frontier] : kInf;
@@ -220,7 +237,7 @@ InductiveScheduler::schedule(const std::vector<int>& preload_order,
             preload_duration(i, (*pre_front[i])[preload_choice[i]]);
         t_exe_start[i] = best_start;
         // The winner's live set is the first preload_idx.size() entries
-        // of the largest one built.
+        // of the largest one built (none for a floor fit).
         for (size_t jj = 0; jj < best_alloc.preload_idx.size(); ++jj) {
             int j = live[jj];
             if (best_alloc.preload_idx[jj] > preload_choice[j]) {

@@ -11,8 +11,8 @@
  * their SRAM footprints, which the §4.3 allocator must then fit.
  *
  * Times are backward-relative: T_end = 0 and all start times are
- * negative. For each candidate frontier the scheduler invokes the
- * allocator on the live set, reads the ALAP preload start estimate
+ * negative. For each candidate frontier the scheduler allocates SRAM
+ * for the live set (§4.3), reads the ALAP preload start estimate
  * that follows it, and picks the frontier maximizing T_s-exe(i) —
  * exactly the paper's "minimize current-to-end time" rule
  * (Theorem 4.2).
@@ -21,8 +21,13 @@
  * only from first_above[i] (the smallest position holding an operator
  * > i), and one ALAP chain over [lo[i], F_{i+1}), which does not
  * depend on the candidate frontier. Each candidate frontier then adds
- * one incremental live-set extension (the next position) and one
- * allocator call.
+ * one incremental live-set extension (the next position), which also
+ * adds that op's floor preload space to a running floor footprint.
+ * While the floor footprint (op i at its fastest exec plan, every
+ * live op at its floor) fits the budget, the allocator's answer is
+ * known without calling it: no downgrade, exec plan 0, floors kept.
+ * Only frontiers whose floor footprint overflows SRAM call the
+ * allocator, whose greedy stays the one downgrade path.
  */
 #ifndef ELK_ELK_INDUCTIVE_SCHEDULER_H
 #define ELK_ELK_INDUCTIVE_SCHEDULER_H

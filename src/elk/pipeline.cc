@@ -93,12 +93,14 @@ argmin_first(const std::vector<double>& scores)
 }
 
 /// Builds (or reuses) the simulator machine the offline tuning sweeps
-/// estimate performance on.
+/// estimate performance on. It shares hardware-analysis's topology
+/// and traffic model rather than rebuilding them.
 const sim::Machine&
 ensure_tuning_machine(CompileState& state)
 {
     if (!state.tuning_machine) {
-        state.tuning_machine = std::make_shared<sim::Machine>(*state.cfg);
+        state.tuning_machine = std::make_shared<sim::Machine>(
+            *state.cfg, state.topo, state.traffic);
     }
     return *state.tuning_machine;
 }

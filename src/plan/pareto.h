@@ -8,7 +8,9 @@
 #define ELK_PLAN_PARETO_H
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 namespace elk::plan {
@@ -30,25 +32,42 @@ pareto_front(std::vector<T> points, MemFn mem_of, TimeFn time_of)
     if (points.empty()) {
         return points;
     }
+    // Sort compact (memory, time, index) keys rather than the points.
+    // The comparator reads only memory and time, exactly as a sort of
+    // the points would, so std::sort makes the same comparisons and
+    // applies the same permutation: equal points keep the same order.
+    struct Key {
+        uint64_t mem;
+        double time;
+        size_t index;
+    };
+    std::vector<Key> keys(points.size());
+    for (size_t i = 0; i < points.size(); ++i) {
+        keys[i] = {mem_of(points[i]), time_of(points[i]), i};
+    }
     // Sort by memory ascending, time ascending for ties.
-    std::sort(points.begin(), points.end(), [&](const T& a, const T& b) {
-        if (mem_of(a) != mem_of(b)) {
-            return mem_of(a) < mem_of(b);
+    std::sort(keys.begin(), keys.end(), [](const Key& a, const Key& b) {
+        if (a.mem != b.mem) {
+            return a.mem < b.mem;
         }
-        return time_of(a) < time_of(b);
+        return a.time < b.time;
     });
     // Sweep: keep a point iff it is strictly faster than everything
     // smaller or equal that we already kept.
-    std::vector<T> front;
+    std::vector<size_t> kept;
     double best_time = std::numeric_limits<double>::infinity();
-    for (auto& p : points) {
-        if (time_of(p) < best_time) {
-            best_time = time_of(p);
-            front.push_back(std::move(p));
+    for (const Key& k : keys) {
+        if (k.time < best_time) {
+            best_time = k.time;
+            kept.push_back(k.index);
         }
     }
     // Descending memory == ascending time.
-    std::reverse(front.begin(), front.end());
+    std::vector<T> front;
+    front.reserve(kept.size());
+    for (auto it = kept.rbegin(); it != kept.rend(); ++it) {
+        front.push_back(std::move(points[*it]));
+    }
     return front;
 }
 

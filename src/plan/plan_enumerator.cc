@@ -291,8 +291,9 @@ enumerate_exec_plans(const graph::Operator& op, const PlanContext& ctx)
                 int rw_limit = w_from_hbm(op) && probe.group_w == 1
                                    ? kMaxStreamChunks
                                    : probe.group_w;
+                const std::vector<int> rw_cands = candidate_repl(rw_limit);
                 for (int ra : candidate_repl(probe.group_a)) {
-                    for (int rw : candidate_repl(rw_limit)) {
+                    for (int rw : rw_cands) {
                         ExecPlan plan = base;
                         plan.repl_a = ra;
                         plan.repl_w = rw;

@@ -1,5 +1,7 @@
 #include "sim/machine.h"
 
+#include <utility>
+
 #include "util/logging.h"
 
 namespace elk::sim {
@@ -13,8 +15,26 @@ Machine::Machine(const hw::ChipConfig& cfg, bool ideal_split_fabric)
     : cfg_(cfg), ideal_split_(ideal_split_fabric)
 {
     cfg_.validate();
-    topo_ = std::make_unique<hw::Topology>(cfg_);
-    traffic_ = std::make_unique<hw::TrafficModel>(*topo_, cfg_);
+    topo_ = std::make_shared<const hw::Topology>(cfg_);
+    traffic_ = std::make_shared<const hw::TrafficModel>(*topo_, cfg_);
+    peer_capacity_ =
+        traffic_->peer_exchange_capacity() * cfg_.num_chips;
+    delivery_capacity_ =
+        traffic_->hbm_delivery_capacity() * cfg_.num_chips;
+}
+
+Machine::Machine(const hw::ChipConfig& cfg,
+                 std::shared_ptr<const hw::Topology> topo,
+                 std::shared_ptr<const hw::TrafficModel> traffic,
+                 bool ideal_split_fabric)
+    : cfg_(cfg),
+      topo_(std::move(topo)),
+      traffic_(std::move(traffic)),
+      ideal_split_(ideal_split_fabric)
+{
+    cfg_.validate();
+    util::check(topo_ != nullptr && traffic_ != nullptr,
+                "Machine: shared analysis needs a topology and traffic");
     peer_capacity_ =
         traffic_->peer_exchange_capacity() * cfg_.num_chips;
     delivery_capacity_ =

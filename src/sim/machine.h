@@ -2,7 +2,8 @@
  * @file
  * Machine: binds a ChipConfig to the simulator's resource model.
  *
- * Builds the Topology and TrafficModel once and exposes the capacity
+ * Builds the Topology and TrafficModel once (or shares ones already
+ * built for the same config) and exposes the capacity
  * vector plus flow-weight constructors the engine uses. The multi-chip
  * system (paper §5) aggregates identical chips: model parallelism
  * splits every operator across chips, so pattern capacities scale by
@@ -29,6 +30,16 @@ class Machine {
     /// Builds topology + traffic analysis for @p cfg.
     explicit Machine(const hw::ChipConfig& cfg,
                      bool ideal_split_fabric = false);
+
+    /**
+     * Shares an analysis already built for @p cfg (the compiler's
+     * hardware-analysis products) instead of rebuilding it; the
+     * machine is identical to Machine(cfg, ideal_split_fabric).
+     */
+    Machine(const hw::ChipConfig& cfg,
+            std::shared_ptr<const hw::Topology> topo,
+            std::shared_ptr<const hw::TrafficModel> traffic,
+            bool ideal_split_fabric = false);
 
     /// Capacity vector for FluidNetwork construction.
     std::vector<double> capacities() const;
@@ -66,8 +77,8 @@ class Machine {
   private:
 
     hw::ChipConfig cfg_;
-    std::unique_ptr<hw::Topology> topo_;
-    std::unique_ptr<hw::TrafficModel> traffic_;
+    std::shared_ptr<const hw::Topology> topo_;
+    std::shared_ptr<const hw::TrafficModel> traffic_;
     double peer_capacity_ = 0.0;
     double delivery_capacity_ = 0.0;
     bool ideal_split_ = false;

@@ -190,5 +190,47 @@ TEST_F(AllocatorTest, UsedSpaceMatchesChosenPlans)
     EXPECT_LT(feasible, kTrials);
 }
 
+TEST_F(AllocatorTest, FloorFitNeedsNoDowngrade)
+{
+    // The scheduler skips the allocator while op i at its fastest
+    // exec plan plus every live op at its floor fits the budget. This
+    // is the oracle for that skip: on any such draw the allocator
+    // must return exactly that selection, untouched.
+    MemoryAllocator alloc(*h_.library);
+    const int n = h_.graph.size();
+    const uint64_t full = h_.ctx.sram_budget();
+    std::mt19937_64 rng(20261018);
+    auto draw = [&](uint64_t bound) {
+        return static_cast<int>(rng() % bound);
+    };
+    constexpr int kTrials = 400;
+    for (int trial = 0; trial < kTrials; ++trial) {
+        int cur = draw(n);
+        const auto& exec_front = h_.library->exec_plans(cur);
+        uint64_t floor_space = exec_front[0].exec_space;
+        std::vector<int> live, exec_idx, floor;
+        for (int k = draw(13); k > 0; --k) {
+            int j = draw(n);
+            int e = draw(h_.library->exec_plans(j).size());
+            const auto& front = h_.library->preload_plans(j, e);
+            int f = draw(front.size());
+            live.push_back(j);
+            exec_idx.push_back(e);
+            floor.push_back(f);
+            floor_space += front[f].preload_space;
+        }
+        // Every fourth draw sits exactly on the budget.
+        uint64_t budget =
+            trial % 4 == 0 ? floor_space : floor_space + rng() % full;
+        SCOPED_TRACE("trial " + std::to_string(trial));
+        auto choice = alloc.allocate(cur, live, exec_idx, floor, budget);
+        ASSERT_TRUE(choice.feasible);
+        EXPECT_EQ(choice.exec_idx, 0);
+        EXPECT_EQ(choice.preload_idx, floor);
+        EXPECT_EQ(choice.exec_time, exec_front[0].exec_time);
+        EXPECT_EQ(choice.used_space, floor_space);
+    }
+}
+
 }  // namespace
 }  // namespace elk::compiler

@@ -6,11 +6,19 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <memory>
 #include <random>
+#include <string>
+#include <vector>
 
 #include "elk/compiler.h"
 #include "plan/pareto.h"
+#include "hw/topology.h"
+#include "hw/traffic.h"
 #include "runtime/executor.h"
+#include "sim/machine.h"
 #include "sim/network.h"
 #include "test_helpers.h"
 
@@ -60,6 +68,102 @@ TEST_P(ParetoProperty, FrontIsMinimalAndComplete)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ParetoProperty,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
+
+/// Reference Pareto sweep that sorts the points themselves — the
+/// extraction pareto_front did before it sorted compact keys. Kept
+/// here to pin that both keep the same points, duplicates included.
+template <typename T, typename MemFn, typename TimeFn>
+std::vector<T>
+reference_pareto_front(std::vector<T> points, MemFn mem_of, TimeFn time_of)
+{
+    if (points.empty()) {
+        return points;
+    }
+    std::sort(points.begin(), points.end(), [&](const T& a, const T& b) {
+        if (mem_of(a) != mem_of(b)) {
+            return mem_of(a) < mem_of(b);
+        }
+        return time_of(a) < time_of(b);
+    });
+    std::vector<T> front;
+    double best_time = std::numeric_limits<double>::infinity();
+    for (auto& p : points) {
+        if (time_of(p) < best_time) {
+            best_time = time_of(p);
+            front.push_back(std::move(p));
+        }
+    }
+    std::reverse(front.begin(), front.end());
+    return front;
+}
+
+class ParetoTieProperty : public ::testing::TestWithParam<int> {};
+
+TEST_P(ParetoTieProperty, MatchesStructSortIncludingDuplicates)
+{
+    // Small integer ranges make equal memories, equal times and
+    // exact duplicate points common; the payload id tells which of
+    // several equal points survives.
+    std::mt19937_64 rng(GetParam());
+    struct P {
+        uint64_t m;
+        double t;
+        int id;
+    };
+    for (int size : {1, 2, 7, 16, 17, 40, 300}) {
+        std::uniform_int_distribution<uint64_t> mem(1, 6);
+        std::uniform_int_distribution<int> time(1, 6);
+        std::vector<P> pts;
+        for (int i = 0; i < size; ++i) {
+            pts.push_back({mem(rng), static_cast<double>(time(rng)), i});
+        }
+        auto mem_of = [](const P& p) { return p.m; };
+        auto time_of = [](const P& p) { return p.t; };
+        auto front = plan::pareto_front(pts, mem_of, time_of);
+        auto expect = reference_pareto_front(pts, mem_of, time_of);
+        SCOPED_TRACE("size " + std::to_string(size));
+        ASSERT_EQ(front.size(), expect.size());
+        for (size_t i = 0; i < front.size(); ++i) {
+            EXPECT_EQ(front[i].m, expect[i].m);
+            EXPECT_EQ(front[i].t, expect[i].t);
+            EXPECT_EQ(front[i].id, expect[i].id);
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ParetoTieProperty,
+                         ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
+
+// ---------------------------------------------------------------
+// A Machine built from shared analysis equals one that builds its own.
+// ---------------------------------------------------------------
+
+TEST(MachineProperty, SharedAnalysisMatchesOwnAnalysis)
+{
+    hw::ChipConfig all_to_all = testing::CompilerHarness::tiny().cfg;
+    hw::ChipConfig mesh = all_to_all;
+    mesh.topology = hw::TopologyKind::kMesh2D;
+    mesh.mesh_link_bw = all_to_all.inter_core_link_bw * 4;
+    for (const hw::ChipConfig& cfg : {all_to_all, mesh}) {
+        SCOPED_TRACE(hw::topology_name(cfg.topology));
+        auto topo = std::make_shared<const hw::Topology>(cfg);
+        auto traffic = std::make_shared<const hw::TrafficModel>(*topo, cfg);
+        for (bool ideal : {false, true}) {
+            sim::Machine own(cfg, ideal);
+            sim::Machine shared(cfg, topo, traffic, ideal);
+            EXPECT_EQ(&shared.topology(), topo.get());
+            EXPECT_EQ(&shared.traffic(), traffic.get());
+            EXPECT_EQ(shared.capacities(), own.capacities());
+            EXPECT_EQ(shared.peer_capacity(), own.peer_capacity());
+            EXPECT_EQ(shared.delivery_capacity(), own.delivery_capacity());
+            for (int r = 0; r < sim::FlowWeights::kMaxResources; ++r) {
+                EXPECT_EQ(shared.preload_weights(1e6, 4e6)[r],
+                          own.preload_weights(1e6, 4e6)[r]);
+                EXPECT_EQ(shared.peer_weights()[r], own.peer_weights()[r]);
+            }
+        }
+    }
+}
 
 // ---------------------------------------------------------------
 // Fluid network: work conservation and capacity limits under random
