@@ -8,6 +8,17 @@
  * counts sum to the cluster roll-up — no request is lost, duplicated,
  * or double-counted by any policy.
  *
+ * Golden digests: seeded multi-replica serves on the tiny chip hash
+ * ClusterReport::serialize_bits() and compare it with the digest
+ * recorded in tests/data/cluster_digests.txt. The configs cross the
+ * three trace families with every router policy, KV migration on and
+ * off, prefill tiers, SLO scheduling with chunked prefill and
+ * KV-locality claiming, and 1-6 replicas, so any change to routing,
+ * replica serving or the roll-up that moves a bit fails with the
+ * config that moved. The file is rewritten, instead of checked, by
+ *   ELK_RECORD_CLUSTER_DIGESTS=<file> ./cluster_property_test
+ * — only for a change that is meant to alter cluster serves.
+ *
  * Trace-generator backfill (PR 7): ArrivalTrace::bursty() with burst
  * factor 1 is Poisson element-by-element, and make_session_trace()
  * stays sorted and platform-stable at its degenerate edges.
@@ -16,7 +27,12 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
+#include <fstream>
+#include <map>
 #include <numeric>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "elk/plan_cache.h"
@@ -24,6 +40,7 @@
 #include "runtime/cluster.h"
 #include "runtime/server.h"
 #include "test_helpers.h"
+#include "util/bits.h"
 
 namespace elk {
 namespace {
@@ -231,6 +248,155 @@ TEST_F(ClusterPropertyTest, TierSplitConservesRequests)
             }
         }
         (void)splits;
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Golden cluster digests
+
+/// One recorded cluster serve: which trace family, which options.
+struct GoldenConfig {
+    std::string name;
+    int family = 0;  ///< index into ClusterPropertyTest::traces().
+    bool slo = false;
+    runtime::ClusterOptions opts;
+};
+
+/// "<config name> <digest>" lines; '#' starts a comment line.
+std::map<std::string, std::string>
+load_golden_digests(const std::string& path)
+{
+    std::map<std::string, std::string> out;
+    std::ifstream in(path);
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.empty() || line[0] == '#') {
+            continue;
+        }
+        std::istringstream fields(line);
+        std::string name, hex;
+        if (fields >> name >> hex) {
+            out[name] = hex;
+        }
+    }
+    return out;
+}
+
+TEST_F(ClusterPropertyTest, ServesMatchRecordedDigests)
+{
+    const char* families[] = {"poisson", "bursty", "session"};
+    std::vector<GoldenConfig> configs;
+    auto add = [&](int family, runtime::RouterPolicy policy,
+                   double token_time, int replicas, int prefill_replicas,
+                   bool migrate, bool slo) {
+        GoldenConfig cfg;
+        cfg.family = family;
+        cfg.slo = slo;
+        cfg.opts.replicas = replicas;
+        cfg.opts.prefill_replicas = prefill_replicas;
+        cfg.opts.router = policy;
+        cfg.opts.router_token_time_s = token_time;
+        cfg.opts.migrate_kv = migrate;
+        cfg.opts.server = server_options();
+        if (slo) {
+            cfg.opts.server.slo = true;
+            cfg.opts.server.tenants = 2;
+            cfg.opts.server.preempt_budget = 2;
+            cfg.opts.server.prefill_chunk = 32;
+            cfg.opts.server.kv_locality = true;
+        }
+        std::ostringstream name;
+        name << families[family] << "/"
+             << runtime::router_policy_name(policy)
+             << (token_time > 0.0 ? "-clock" : "") << "/n" << replicas
+             << "/p" << prefill_replicas << "/kv" << migrate << "/slo"
+             << slo;
+        cfg.name = name.str();
+        configs.push_back(cfg);
+    };
+    const runtime::RouterPolicy policies[] = {
+        runtime::RouterPolicy::kRoundRobin,
+        runtime::RouterPolicy::kLeastLoaded,
+        runtime::RouterPolicy::kSessionAffinity};
+    for (int f = 0; f < 3; ++f) {
+        for (auto policy : policies) {
+            for (bool migrate : {false, true}) {
+                for (int n = 1; n <= 6; ++n) {
+                    add(f, policy, 0.0, n, 0, migrate, false);
+                }
+                // Prefill tiers, 1-3 prefill chips.
+                for (auto [n, p] : {std::pair{2, 1}, std::pair{4, 2},
+                                    std::pair{5, 1}, std::pair{6, 3}}) {
+                    add(f, policy, 0.0, n, p, migrate, false);
+                }
+            }
+            // SLO scheduling, chunked prefill and KV-locality claiming.
+            for (int n = 1; n <= 6; ++n) {
+                add(f, policy, 0.0, n, 0, true, true);
+            }
+            add(f, policy, 0.0, 6, 2, true, true);
+        }
+        // Least-loaded's virtual free-at clock.
+        for (int n : {2, 5}) {
+            add(f, runtime::RouterPolicy::kLeastLoaded, 2e-5, n, 0, true,
+                false);
+        }
+        add(f, runtime::RouterPolicy::kLeastLoaded, 2e-5, 6, 2, true,
+            true);
+    }
+
+    // The trace families, plus an SLO-tagged copy of each (two
+    // tenants, a uniform deadline).
+    auto plain = traces(61);
+    auto tagged = plain;
+    for (auto& trace : tagged) {
+        runtime::tag_tenants(trace, 2, /*seed=*/61);
+        runtime::tag_deadlines(trace, /*slo_s=*/1e-3);
+    }
+
+    auto dc = make_compiler(compiler::GraphKind::kDecode);
+    auto pc = make_compiler(compiler::GraphKind::kPrefill);
+    auto prefill = [&](int b, int len) { return pc.program(b, len); };
+    auto decode = [&](int b) { return dc.program(b); };
+    auto run = [&](const GoldenConfig& cfg) {
+        runtime::Cluster cluster(dc.machine(), cfg.opts);
+        const std::string bits =
+            cluster
+                .serve(cfg.slo ? tagged[cfg.family] : plain[cfg.family],
+                       prefill, decode)
+                .serialize_bits();
+        util::Fnv1a h;
+        h.mix(bits.data(), bits.size());
+        return h.hex();
+    };
+
+    const char* record_path = std::getenv("ELK_RECORD_CLUSTER_DIGESTS");
+    if (record_path != nullptr) {
+        std::ofstream out(record_path);
+        out << "# FNV-1a digests of ClusterReport::serialize_bits(), one "
+               "per golden\n# cluster config: "
+               "<trace/policy/replicas/prefill tier/migrate/slo> "
+               "<digest>.\n"
+               "# Rewrite with ELK_RECORD_CLUSTER_DIGESTS=<file> "
+               "./cluster_property_test\n";
+        for (const GoldenConfig& cfg : configs) {
+            out << cfg.name << " " << run(cfg) << "\n";
+        }
+        ASSERT_TRUE(out.good()) << "could not write " << record_path;
+        return;
+    }
+
+    const std::string golden_path =
+        std::string(ELK_TEST_DATA_DIR) + "/cluster_digests.txt";
+    auto golden = load_golden_digests(golden_path);
+    ASSERT_EQ(golden.size(), configs.size())
+        << "golden digest file " << golden_path
+        << " must carry one digest per config";
+    for (const GoldenConfig& cfg : configs) {
+        ASSERT_EQ(golden.count(cfg.name), 1u)
+            << "no golden digest for config " << cfg.name;
+        EXPECT_EQ(run(cfg), golden[cfg.name])
+            << "golden digest mismatch at config " << cfg.name;
     }
 }
 
