@@ -12,6 +12,23 @@ Compiler::Compiler(const graph::Graph& graph, const hw::ChipConfig& cfg,
                    const cost::ExecCostModel* cost_model, int jobs)
     : pipeline_(CompilerPipeline::standard())
 {
+    init(graph, cfg, cost_model, jobs);
+}
+
+Compiler::Compiler(const graph::Graph& graph, const sim::Machine& machine,
+                   int jobs)
+    : pipeline_(CompilerPipeline::standard())
+{
+    // hardware-analysis finds these products present and keeps them.
+    state_.topo = machine.shared_topology();
+    state_.traffic = machine.shared_traffic();
+    init(graph, machine.config(), nullptr, jobs);
+}
+
+void
+Compiler::init(const graph::Graph& graph, const hw::ChipConfig& cfg,
+               const cost::ExecCostModel* cost_model, int jobs)
+{
     int threads = util::ThreadPool::resolve_jobs(jobs);
     if (threads > 1) {
         pool_ = std::make_unique<util::ThreadPool>(threads);

@@ -27,6 +27,7 @@
 #include "elk/pass.h"
 #include "elk/schedule_ir.h"
 #include "hw/chip_config.h"
+#include "sim/machine.h"
 #include "util/thread_pool.h"
 
 namespace elk::compiler {
@@ -59,6 +60,12 @@ class Compiler {
              const cost::ExecCostModel* cost_model = nullptr,
              int jobs = 1);
 
+    /// Same for @p machine's chip with the analytic cost model, reusing
+    /// the machine's topology and traffic model instead of rebuilding
+    /// them; the plans are identical.
+    Compiler(const graph::Graph& graph, const sim::Machine& machine,
+             int jobs = 1);
+
     /// Compiles an execution plan for the requested design by running
     /// the scheduling passes of the pipeline. With a plan cache
     /// attached, a hit skips them (CompileState::cached_plan hook)
@@ -89,6 +96,10 @@ class Compiler {
     int jobs() const;
 
   private:
+    /// The shared body of the constructors.
+    void init(const graph::Graph& graph, const hw::ChipConfig& cfg,
+              const cost::ExecCostModel* cost_model, int jobs);
+
     CompilerPipeline pipeline_;
     std::unique_ptr<util::ThreadPool> pool_;
     CompileState state_;  ///< analysis products shared by compiles.

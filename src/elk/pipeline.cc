@@ -118,13 +118,15 @@ class HardwareAnalysisPass : public Pass {
         util::check(state.graph != nullptr && state.cfg != nullptr,
                     "hardware-analysis: CompileState needs a graph and "
                     "a chip config");
-        if (state.topo) {
+        if (state.ctx.traffic != nullptr) {
             return;  // analysis products already built (state reuse)
         }
-        state.cfg->validate();
-        state.topo = std::make_shared<hw::Topology>(*state.cfg);
-        state.traffic =
-            std::make_shared<hw::TrafficModel>(*state.topo, *state.cfg);
+        if (!state.topo) {  // not shared in from a sim::Machine
+            state.cfg->validate();
+            state.topo = std::make_shared<hw::Topology>(*state.cfg);
+            state.traffic = std::make_shared<hw::TrafficModel>(
+                *state.topo, *state.cfg);
+        }
         if (state.ctx.exec_cost == nullptr) {
             state.ctx.set_cost_model(cost::make_analytic_cost());
         }

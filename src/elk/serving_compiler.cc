@@ -41,12 +41,11 @@ ServingCompiler::ServingCompiler(graph::ModelConfig model, int seq,
                                  int jobs, Options serving_opts)
     : model_(std::move(model)),
       seq_(seq),
-      cfg_(cfg),
       opts_(std::move(opts)),
       cache_(cache),
       jobs_(jobs),
       serving_opts_(serving_opts),
-      machine_(cfg_, opts_.mode == Mode::kIdeal)
+      machine_(cfg, opts_.mode == Mode::kIdeal)
 {
     util::check(seq_ >= 1, "ServingCompiler: seq must be >= 1");
     util::check(serving_opts_.op_id_offset >= 0,
@@ -92,8 +91,9 @@ ServingCompiler::program(int batch, int prompt_len)
         serving_opts_.kind == GraphKind::kPrefill
             ? graph::build_forward_graph(model_, batch, prompt_len)
             : graph::build_decode_graph(model_, batch, seq_));
-    entry.compiler = std::make_unique<Compiler>(*entry.graph, cfg_,
-                                                nullptr, jobs_);
+    // The bucket compilers share machine_'s topology and traffic model.
+    entry.compiler =
+        std::make_unique<Compiler>(*entry.graph, machine_, jobs_);
     entry.compiler->set_plan_cache(cache_);
     CompileResult compiled = entry.compiler->compile(opts_);
     compile_seconds_ += compiled.compile_seconds;

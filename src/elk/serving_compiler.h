@@ -138,7 +138,6 @@ class ServingCompiler {
 
     graph::ModelConfig model_;
     int seq_;
-    hw::ChipConfig cfg_;
     CompileOptions opts_;
     PlanCache* cache_;
     int jobs_;

@@ -3,12 +3,14 @@
 #include <algorithm>
 #include <cstddef>
 #include <limits>
+#include <mutex>
 #include <sstream>
 #include <utility>
 
 #include "runtime/metrics.h"
 #include "util/bits.h"
 #include "util/logging.h"
+#include "util/thread_pool.h"
 
 namespace elk::runtime {
 
@@ -299,19 +301,39 @@ Cluster::serve(const std::vector<Request>& requests,
     std::vector<int> prefill_counts(n, 0);
     route_into(requests, sub, prefill_counts);
 
-    Server server(machine_, opts_.server);
+    // Replicas serve in parallel, but the caller's sources are called
+    // one at a time: any thread, never concurrently.
+    std::mutex source_mu;
+    Server::PrefillProgramSource prefill;
+    if (prefill_programs) {
+        prefill = [&](int batch, int prompt_len) {
+            std::lock_guard<std::mutex> lock(source_mu);
+            return prefill_programs(batch, prompt_len);
+        };
+    }
+    const Server::ProgramSource decode = [&](int batch) {
+        std::lock_guard<std::mutex> lock(source_mu);
+        return decode_programs(batch);
+    };
+
+    const Server server(machine_, opts_.server);
     ClusterReport rep;
     rep.replicas = n;
     rep.requests = static_cast<int>(requests.size());
     rep.routed_per_replica.reserve(n);
-    rep.replica_reports.reserve(n);
     for (int i = 0; i < n; ++i) {
         rep.routed_per_replica.push_back(
             static_cast<int>(sub[i].size()));
         rep.routed += static_cast<int>(sub[i].size());
-        rep.replica_reports.push_back(
-            server.serve(sub[i], prefill_programs, decode_programs));
     }
+    rep.replica_reports.resize(n);
+    // min(replicas, hardware threads) runners, the caller among them;
+    // a one-worker pool would run inline, so two runners get two.
+    const int runners = std::min(n, util::ThreadPool::hardware_jobs());
+    util::ThreadPool pool(runners == 2 ? 2 : runners - 1);
+    pool.parallel_for(n, [&](int i) {
+        rep.replica_reports[i] = server.serve(sub[i], prefill, decode);
+    });
 
     double lat_wsum = 0.0;
     double ttft_wsum = 0.0;

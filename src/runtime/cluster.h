@@ -9,8 +9,10 @@
  * sub-trace with the existing single-chip Server scheduler on its own
  * EngineState (all replicas share one sim::Machine description and the
  * same compiled program sources). Routing is a pure function of the
- * trace and the options, so the whole cluster serve is deterministic
- * and bit-identical at any compiler --jobs setting, and the anchor
+ * trace and the options and fixes every sub-trace before any replica
+ * starts, so the replicas serve in parallel and the whole cluster
+ * serve is deterministic and bit-identical at any thread count or
+ * compiler --jobs setting, and the anchor
  * rule holds by construction: a 1-replica round-robin cluster routes
  * every request to replica 0 unchanged, reproducing today's Server
  * bit-for-bit.
@@ -160,8 +162,12 @@ struct ClusterReport {
 
 /**
  * The cluster serving loop: route, serve every replica, roll up.
- * Replica serves run sequentially (the simulation is deterministic
- * either way); each gets a fresh EngineState on the shared machine.
+ * Replica serves run in parallel on min(replicas, hardware threads)
+ * runners, the calling thread among them; each gets a fresh
+ * EngineState on the shared machine and writes its report into its
+ * own slot, and the roll-up then merges the slots in replica order,
+ * so the report is bit-identical to serving the replicas one after
+ * another.
  */
 class Cluster {
   public:
@@ -174,7 +180,9 @@ class Cluster {
      * Serves @p requests (sorted by arrival) to completion across the
      * replicas. @p prefill_programs / @p decode_programs are shared by
      * every replica — compiled programs are immutable, so one
-     * ServingCompiler serves the whole cluster.
+     * ServingCompiler serves the whole cluster. The sources may be
+     * called from any thread, but never concurrently: serve() calls
+     * them under one lock, so they need not be thread-safe.
      */
     ClusterReport serve(
         const std::vector<Request>& requests,

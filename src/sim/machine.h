@@ -65,6 +65,17 @@ class Machine {
     const hw::Topology& topology() const { return *topo_; }
     const hw::TrafficModel& traffic() const { return *traffic_; }
 
+    /// The analysis itself, for sharing with another Machine or a
+    /// compiler::Compiler on the same chip.
+    const std::shared_ptr<const hw::Topology>& shared_topology() const
+    {
+        return topo_;
+    }
+    const std::shared_ptr<const hw::TrafficModel>& shared_traffic() const
+    {
+        return traffic_;
+    }
+
     /// True when preload and peer traffic use disjoint fabrics (Ideal).
     bool ideal_split_fabric() const { return ideal_split_; }
 

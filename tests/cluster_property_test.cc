@@ -258,7 +258,6 @@ TEST_F(ClusterPropertyTest, TierSplitConservesRequests)
 struct GoldenConfig {
     std::string name;
     int family = 0;  ///< index into ClusterPropertyTest::traces().
-    bool slo = false;
     runtime::ClusterOptions opts;
 };
 
@@ -291,7 +290,6 @@ TEST_F(ClusterPropertyTest, ServesMatchRecordedDigests)
                    bool migrate, bool slo) {
         GoldenConfig cfg;
         cfg.family = family;
-        cfg.slo = slo;
         cfg.opts.replicas = replicas;
         cfg.opts.prefill_replicas = prefill_replicas;
         cfg.opts.router = policy;
@@ -362,7 +360,8 @@ TEST_F(ClusterPropertyTest, ServesMatchRecordedDigests)
         runtime::Cluster cluster(dc.machine(), cfg.opts);
         const std::string bits =
             cluster
-                .serve(cfg.slo ? tagged[cfg.family] : plain[cfg.family],
+                .serve(cfg.opts.server.slo ? tagged[cfg.family]
+                                           : plain[cfg.family],
                        prefill, decode)
                 .serialize_bits();
         util::Fnv1a h;

@@ -5,13 +5,17 @@
  * policies on crafted arrival patterns, cross-chip KV migration with
  * priced interconnect stalls, the disaggregated prefill-tier /
  * decode-tier split, the 1-replica round-robin bit-identity anchor
- * across all five design modes, and death tests for cluster
+ * across all five design modes, the program-source contract of the
+ * parallel replica serves, and death tests for cluster
  * misconfiguration.
  */
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <numeric>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "elk/plan_cache.h"
@@ -525,6 +529,65 @@ TEST_F(ClusterServingTest, RollUpSumsReplicaReports)
         [&](int b) { return dc.program(b); });
     EXPECT_EQ(rep.serialize_bits(), again.serialize_bits());
     EXPECT_FALSE(rep.summary().empty());
+}
+
+// Replicas serve on parallel threads, yet the program sources are
+// called one at a time. The sources count their calls in flight and
+// hold each call open briefly, so two overlapping calls would raise
+// the recorded maximum above one. A second serve makes the same calls
+// and produces the same report.
+TEST_F(ClusterServingTest, ProgramSourcesAreNeverCalledConcurrently)
+{
+    auto dc = make_compiler(compiler::GraphKind::kDecode,
+                            compiler::Mode::kElkFull);
+    auto pc = make_compiler(compiler::GraphKind::kPrefill,
+                            compiler::Mode::kElkFull);
+    auto mixed = runtime::make_request_trace(
+        runtime::ArrivalTrace::poisson(24, 4000.0, 13), 3,
+        /*prefill_frac=*/0.7, /*high_frac=*/0.2, 13);
+    runtime::tag_prompt_lengths(mixed, kSeq, 32.0, 13);
+
+    std::atomic<int> in_flight{0};
+    std::atomic<int> max_in_flight{0};
+    std::atomic<int64_t> calls{0};
+    auto enter = [&] {
+        const int now = in_flight.fetch_add(1) + 1;
+        int seen = max_in_flight.load();
+        while (now > seen &&
+               !max_in_flight.compare_exchange_weak(seen, now)) {
+        }
+        calls.fetch_add(1);
+        std::this_thread::sleep_for(std::chrono::microseconds(20));
+    };
+    auto prefill = [&](int b, int len) {
+        enter();
+        auto program = pc.program(b, len);
+        in_flight.fetch_sub(1);
+        return program;
+    };
+    auto decode = [&](int b) {
+        enter();
+        auto program = dc.program(b);
+        in_flight.fetch_sub(1);
+        return program;
+    };
+
+    runtime::ClusterOptions copts;
+    copts.replicas = 4;
+    copts.server = plain_options();
+    runtime::Cluster cluster(dc.machine(), copts);
+    auto first = cluster.serve(mixed, prefill, decode);
+    const int64_t first_calls = calls.exchange(0);
+    auto second = cluster.serve(mixed, prefill, decode);
+
+    EXPECT_EQ(max_in_flight.load(), 1);
+    EXPECT_GT(first_calls, 0);
+    EXPECT_EQ(calls.load(), first_calls);
+    EXPECT_EQ(first.serialize_bits(), second.serialize_bits());
+    // Every replica served work, so the serves did overlap.
+    for (int routed : first.routed_per_replica) {
+        EXPECT_GT(routed, 0);
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the compiler facade: all five designs produce valid
- * plans and the device-program lowering is well-formed.
+ * plans, a compiler sharing a sim::Machine's analysis compiles the
+ * same plans, and the device-program lowering is well-formed.
  */
 #include <gtest/gtest.h>
 
@@ -126,6 +127,34 @@ TEST_F(CompilerTest, CompileTimeRecorded)
     opts.mode = Mode::kElkDyn;
     auto result = compiler_->compile(opts);
     EXPECT_GT(result.compile_seconds, 0.0);
+}
+
+// A compiler on a sim::Machine shares the machine's topology and
+// traffic model and compiles the same plans as one that builds its
+// own analysis from the chip config.
+TEST(CompilerAnalysisTest, MachineAnalysisCompilesIdenticalPlans)
+{
+    graph::Graph graph =
+        graph::build_decode_graph(testing::tiny_llm(), 8, 512);
+    hw::ChipConfig all_to_all = testing::CompilerHarness::tiny().cfg;
+    hw::ChipConfig mesh = all_to_all;
+    mesh.topology = hw::TopologyKind::kMesh2D;
+    for (const hw::ChipConfig& cfg : {all_to_all, mesh}) {
+        SCOPED_TRACE(hw::topology_name(cfg.topology));
+        sim::Machine machine(cfg);
+        Compiler own(graph, cfg);
+        Compiler shared(graph, machine);
+        EXPECT_EQ(shared.context().traffic, &machine.traffic());
+        for (Mode mode : {Mode::kBasic, Mode::kStatic, Mode::kElkDyn,
+                          Mode::kElkFull, Mode::kIdeal}) {
+            CompileOptions opts;
+            opts.mode = mode;
+            opts.max_orders = 8;
+            EXPECT_EQ(shared.compile(opts).plan.serialize_bits(),
+                      own.compile(opts).plan.serialize_bits())
+                << mode_name(mode);
+        }
+    }
 }
 
 TEST(ModeNameTest, AllNamesDistinct)
