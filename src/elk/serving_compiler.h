@@ -130,12 +130,6 @@ class ServingCompiler {
     int seq() const { return seq_; }
 
   private:
-    struct Entry {
-        std::unique_ptr<graph::Graph> graph;
-        std::unique_ptr<Compiler> compiler;
-        std::shared_ptr<const sim::SimProgram> program;
-    };
-
     graph::ModelConfig model_;
     int seq_;
     CompileOptions opts_;
@@ -144,8 +138,11 @@ class ServingCompiler {
     Options serving_opts_;
     sim::Machine machine_;
     mutable std::shared_mutex mu_;
-    /// (batch, prompt_len) -> compiled chain.
-    std::map<std::pair<int, int>, Entry> entries_;
+    /// (batch, prompt_len) -> lowered program. The bucket's graph
+    /// and Compiler (with its worker threads) are dropped once it is
+    /// lowered; a bucket never compiles twice.
+    std::map<std::pair<int, int>, std::shared_ptr<const sim::SimProgram>>
+        entries_;
     double compile_seconds_ = 0.0;
 };
 

@@ -94,11 +94,32 @@ per_core_peer_bw(const PlanContext& ctx, long cores_used)
     return std::min(ctx.cfg->inter_core_link_bw, fair_share);
 }
 
-}  // namespace
+/**
+ * What the replication half of a plan's metrics needs from its
+ * partition half, beyond the plan fields that half fills.
+ */
+struct PartitionTerms {
+    /// W is consumed in chunks straight from HBM (no sharing group).
+    bool w_streams = false;
+    int repl_a_limit = 1;     ///< largest feasible repl_a.
+    int repl_w_limit = 1;     ///< largest feasible repl_w.
+    uint64_t partial = 0;     ///< partial-sum buffer bytes.
+    double peer_bw = 0;       ///< per-core peer exchange bandwidth.
+    double reduce_time = 0;   ///< partial-sum exchange seconds.
+    double inter_chip_time = 0;
+    double system_peer_capacity = 0;
+};
 
+/**
+ * Partition half of compute_plan_metrics: fills every field of
+ * @p plan that depends on its partition factors alone (tiles, groups,
+ * byte needs, reduction bytes, compute time) and the @p terms the
+ * replication half reads. False when the partition itself does not
+ * fit the operator or the chip.
+ */
 bool
-compute_plan_metrics(const graph::Operator& op, const PlanContext& ctx,
-                     ExecPlan& plan)
+partition_metrics(const graph::Operator& op, const PlanContext& ctx,
+                  ExecPlan& plan, PartitionTerms& terms)
 {
     const hw::ChipConfig& cfg = *ctx.cfg;
     const long rows = op.batch * op.m;
@@ -132,11 +153,9 @@ compute_plan_metrics(const graph::Operator& op, const PlanContext& ctx,
     // that exceeds the chip), so repl_w is then bounded by the chunking
     // cap instead of the sharing group. When the partition does share W
     // across cores, the normal broadcast/peer path applies.
-    const bool w_streams = w_from_hbm(op) && plan.group_w == 1;
-    int repl_w_limit = w_streams ? kMaxStreamChunks : plan.group_w;
-    if (plan.repl_a > plan.group_a || plan.repl_w > repl_w_limit) {
-        return false;
-    }
+    terms.w_streams = w_from_hbm(op) && plan.group_w == 1;
+    terms.repl_a_limit = plan.group_a;
+    terms.repl_w_limit = terms.w_streams ? kMaxStreamChunks : plan.group_w;
 
     // Per-core byte needs.
     const uint64_t dt = op.dtype_bytes;
@@ -160,21 +179,68 @@ compute_plan_metrics(const graph::Operator& op, const PlanContext& ctx,
         plan.w_need = op.hbm_bytes();  // small params, fully replicated
         plan.group_a = 1;
         plan.group_w = plan.parts_rows;
-        if (plan.repl_a != 1) {
-            return false;
-        }
-        if (plan.repl_w > plan.group_w) {
-            return false;
-        }
+        // A is never spread; W keeps the tighter sharing-span bound
+        // computed above, which never exceeds parts_rows.
+        terms.repl_a_limit = 1;
     }
     plan.out_bytes =
         static_cast<uint64_t>(plan.tile_rows) * plan.tile_cols * dt;
+    // Partial-sum buffer when the contraction is split.
+    terms.partial = plan.parts_k > 1 ? plan.out_bytes : 0;
+
+    // Partial-sum reduction along the k partitions (ring all-reduce).
+    plan.reduce_bytes =
+        plan.parts_k > 1
+            ? 2.0 * (plan.parts_k - 1) / plan.parts_k *
+                  static_cast<double>(plan.out_bytes)
+            : 0.0;
+
+    // Execution time terms (per §4.3's cost model): per-core tile
+    // compute, the reduction exchange and the inter-chip hand-off.
+    cost::TileWork tile;
+    tile.kind = op.kind;
+    tile.rows = plan.tile_rows;
+    tile.n = plan.tile_cols;
+    tile.k = plan.tile_k;
+    tile.dtype_bytes = op.dtype_bytes;
+    plan.compute_time = ctx.exec_cost->tile_time(tile, cfg);
+
+    terms.peer_bw = per_core_peer_bw(ctx, plan.cores_used());
+    terms.reduce_time = cost::link_transfer_time(
+        plan.reduce_bytes, terms.peer_bw, cfg.link_latency_s,
+        cfg.transfer_buffer_per_core);
+    terms.inter_chip_time =
+        cfg.num_chips > 1 && graph::uses_matmul_pipeline(op.kind)
+            ? static_cast<double>(op.act_out_bytes) / cfg.inter_chip_bw
+            : 0.0;
+    terms.system_peer_capacity =
+        ctx.traffic->peer_exchange_capacity() * cfg.num_chips;
+    return true;
+}
+
+/**
+ * Replication half of compute_plan_metrics: fills the fields of
+ * @p plan that depend on its residency factors (space, fetches,
+ * stream, exec and fabric time), reading only the fields the
+ * partition half filled and @p terms. False when the factors exceed
+ * their sharing groups or the plan overflows the SRAM budget.
+ */
+bool
+replication_metrics(const PlanContext& ctx, const PartitionTerms& terms,
+                    ExecPlan& plan)
+{
+    const hw::ChipConfig& cfg = *ctx.cfg;
+    if (plan.repl_a < 1 || plan.repl_w < 1 ||
+        plan.repl_a > terms.repl_a_limit ||
+        plan.repl_w > terms.repl_w_limit) {
+        return false;
+    }
 
     // Execution space: resident shares + output (+ partial-sum buffer
     // when the contraction is split).
-    uint64_t partial = plan.parts_k > 1 ? plan.out_bytes : 0;
     plan.exec_space = plan.a_need / plan.repl_a +
-                      plan.w_need / plan.repl_w + plan.out_bytes + partial;
+                      plan.w_need / plan.repl_w + plan.out_bytes +
+                      terms.partial;
     if (plan.exec_space > ctx.sram_budget()) {
         return false;
     }
@@ -187,44 +253,22 @@ compute_plan_metrics(const graph::Operator& op, const PlanContext& ctx,
     double fw = 1.0 / plan.repl_w;
     plan.fetch_bytes =
         (1.0 - fa) * static_cast<double>(plan.a_need) +
-        (w_streams ? 0.0
-                   : (1.0 - fw) * static_cast<double>(plan.w_need));
-    // Partial-sum reduction along the k partitions (ring all-reduce).
-    plan.reduce_bytes =
-        plan.parts_k > 1
-            ? 2.0 * (plan.parts_k - 1) / plan.parts_k *
-                  static_cast<double>(plan.out_bytes)
-            : 0.0;
+        (terms.w_streams ? 0.0
+                         : (1.0 - fw) * static_cast<double>(plan.w_need));
 
-    // Execution time estimate (per §4.3's cost model): per-core tile
-    // compute, on-demand fetches over the interconnect, the SRAM
-    // access contention of serving peers (which pauses local compute
-    // on IPU-like cores), and the reduction exchange.
-    cost::TileWork tile;
-    tile.kind = op.kind;
-    tile.rows = plan.tile_rows;
-    tile.n = plan.tile_cols;
-    tile.k = plan.tile_k;
-    tile.dtype_bytes = op.dtype_bytes;
-    plan.compute_time = ctx.exec_cost->tile_time(tile, cfg);
-
-    double peer_bw = per_core_peer_bw(ctx, plan.cores_used());
+    // On-demand fetches over the interconnect, and the SRAM access
+    // contention of serving peers (which pauses local compute on
+    // IPU-like cores).
     double fetch_time = cost::link_transfer_time(
-        plan.fetch_bytes, peer_bw, cfg.link_latency_s,
+        plan.fetch_bytes, terms.peer_bw, cfg.link_latency_s,
         cfg.transfer_buffer_per_core);
     double serve_stall = plan.fetch_bytes / cfg.sram_read_bw;
-    double reduce_time = cost::link_transfer_time(
-        plan.reduce_bytes, peer_bw, cfg.link_latency_s,
-        cfg.transfer_buffer_per_core);
-    double inter_chip_time =
-        cfg.num_chips > 1 && graph::uses_matmul_pipeline(op.kind)
-            ? static_cast<double>(op.act_out_bytes) / cfg.inter_chip_bw
-            : 0.0;
 
     // Chunked streamed operands consume their non-resident fraction
     // from HBM while executing; the phase cannot beat that stream.
     plan.hbm_stream_bytes =
-        w_streams ? (1.0 - fw) * static_cast<double>(plan.w_need) : 0.0;
+        terms.w_streams ? (1.0 - fw) * static_cast<double>(plan.w_need)
+                        : 0.0;
     double stream_time = plan.hbm_stream_bytes *
                          static_cast<double>(plan.cores_used()) /
                          cfg.hbm_total_bw;
@@ -236,14 +280,35 @@ compute_plan_metrics(const graph::Operator& op, const PlanContext& ctx,
     // Fig. 2) and therefore adds to the compute side.
     plan.exec_time =
         std::max({plan.compute_time + serve_stall,
-                  fetch_time + reduce_time, stream_time}) +
-        inter_chip_time;
-    double system_peer_capacity =
-        ctx.traffic->peer_exchange_capacity() * cfg.num_chips;
+                  fetch_time + terms.reduce_time, stream_time}) +
+        terms.inter_chip_time;
     plan.fabric_time = (plan.fetch_bytes + plan.reduce_bytes) *
                        static_cast<double>(plan.cores_used()) /
-                       system_peer_capacity;
+                       terms.system_peer_capacity;
     return true;
+}
+
+/// A feasible candidate as the Pareto search sees it: its axes and
+/// the decision variables that rebuild its ExecPlan.
+struct Candidate {
+    uint64_t mem;
+    double time;
+    int parts_rows;
+    int parts_cols;
+    int parts_k;
+    int repl_a;
+    int repl_w;
+};
+
+}  // namespace
+
+bool
+compute_plan_metrics(const graph::Operator& op, const PlanContext& ctx,
+                     ExecPlan& plan)
+{
+    PartitionTerms terms;
+    return partition_metrics(op, ctx, plan, terms) &&
+           replication_metrics(ctx, terms, plan);
 }
 
 std::vector<ExecPlan>
@@ -255,7 +320,10 @@ enumerate_exec_plans(const graph::Operator& op, const PlanContext& ctx)
     const bool mm = graph::uses_matmul_pipeline(op.kind);
     const long contraction = mm ? op.k : 1;
 
-    std::vector<ExecPlan> plans;
+    // Every feasible candidate in search order (the tie fallback's
+    // input), and the running front over them.
+    std::vector<Candidate> candidates;
+    ParetoSkyline<Candidate> skyline;
     auto rows_parts = candidate_parts(rows, total_cores);
     for (int pr : rows_parts) {
         auto cols_parts = row_reduction_kind(op.kind)
@@ -266,51 +334,67 @@ enumerate_exec_plans(const graph::Operator& op, const PlanContext& ctx)
                                                 total_cores / (static_cast<long>(pr) * pc))
                               : std::vector<int>{1};
             for (int pk : k_parts) {
-                ExecPlan base;
-                base.parts_rows = pr;
-                base.parts_cols = pc;
-                base.parts_k = pk;
-                // Probe with no replication choice to get groups.
-                ExecPlan probe = base;
-                if (!compute_plan_metrics(op, ctx, probe)) {
-                    // Try anyway with repl=1; if the tile itself is too
-                    // big this partition is hopeless only when repl
-                    // can't shrink it further — handled below by
-                    // enumerating repl candidates regardless.
-                    probe = base;
-                    probe.repl_a = 1;
-                    probe.repl_w = 1;
-                    if (!compute_plan_metrics(op, ctx, probe)) {
-                        // Even the largest-memory variant fails; the
-                        // higher-repl variants may still fit, so fall
-                        // through with conservative group bounds.
-                        probe.group_a = pc;
-                        probe.group_w = pr;
-                    }
+                ExecPlan part;
+                part.parts_rows = pr;
+                part.parts_cols = pc;
+                part.parts_k = pk;
+                PartitionTerms terms;
+                if (!partition_metrics(op, ctx, part, terms)) {
+                    continue;  // no residency choice can rescue it
                 }
-                int rw_limit = w_from_hbm(op) && probe.group_w == 1
+                // The residency candidates span the sharing groups of
+                // the fully resident plan (repl 1, the default); when
+                // even that plan overflows SRAM, they span the
+                // partition counts.
+                const bool resident_fits =
+                    replication_metrics(ctx, terms, part);
+                const int group_a = resident_fits ? part.group_a : pc;
+                const int group_w = resident_fits ? part.group_w : pr;
+                int rw_limit = w_from_hbm(op) && group_w == 1
                                    ? kMaxStreamChunks
-                                   : probe.group_w;
+                                   : group_w;
                 const std::vector<int> rw_cands = candidate_repl(rw_limit);
-                for (int ra : candidate_repl(probe.group_a)) {
+                for (int ra : candidate_repl(group_a)) {
                     for (int rw : rw_cands) {
-                        ExecPlan plan = base;
-                        plan.repl_a = ra;
-                        plan.repl_w = rw;
-                        if (compute_plan_metrics(op, ctx, plan)) {
-                            plans.push_back(plan);
+                        part.repl_a = ra;
+                        part.repl_w = rw;
+                        if (!replication_metrics(ctx, terms, part)) {
+                            continue;
                         }
+                        const Candidate c{part.exec_space,
+                                          part.time_cost(), pr, pc, pk,
+                                          ra, rw};
+                        candidates.push_back(c);
+                        skyline.offer(c.mem, c.time, c);
                     }
                 }
             }
         }
     }
 
-    auto front = pareto_front(
-        std::move(plans), [](const ExecPlan& p) { return p.exec_space; },
-        [](const ExecPlan& p) { return p.time_cost(); });
-    util::check(!front.empty(),
+    // An exact (memory, time) tie on the front: pareto_front over the
+    // candidates in search order sorts them exactly as a sort of full
+    // plans would, so it keeps the same twin.
+    const std::vector<Candidate> survivors =
+        skyline.has_twin()
+            ? pareto_front(std::move(candidates),
+                           [](const Candidate& c) { return c.mem; },
+                           [](const Candidate& c) { return c.time; })
+            : skyline.front();
+    util::check(!survivors.empty(),
                 "no feasible execution plan for operator " + op.name);
+
+    std::vector<ExecPlan> front(survivors.size());
+    for (size_t i = 0; i < survivors.size(); ++i) {
+        const Candidate& c = survivors[i];
+        front[i].parts_rows = c.parts_rows;
+        front[i].parts_cols = c.parts_cols;
+        front[i].parts_k = c.parts_k;
+        front[i].repl_a = c.repl_a;
+        front[i].repl_w = c.repl_w;
+        util::check(compute_plan_metrics(op, ctx, front[i]),
+                    "front plan no longer feasible");
+    }
     return front;
 }
 

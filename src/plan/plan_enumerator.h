@@ -44,9 +44,22 @@ struct PlanContext {
 /**
  * Enumerates Pareto-optimal execute-state plans of @p op: every
  * combination of partition factors and residency factors that fits the
- * chip, reduced to the (exec_space, exec_time) Pareto front, sorted
+ * chip, reduced to the (exec_space, time_cost) Pareto front, sorted
  * fastest-first (descending memory). Never empty for a well-formed
  * operator — at minimum the most-partitioned plan survives.
+ *
+ * One streaming pass: the partition half of the metrics is computed
+ * once per (parts_rows, parts_cols, parts_k), the replication half
+ * once per residency pair, and each feasible candidate is offered as
+ * a compact (memory, time, factors) record to a ParetoSkyline; only
+ * the survivors are expanded into full ExecPlans. The result equals
+ * pareto_front over every feasible plan, bit for bit. Exact ties are
+ * the exception the skyline cannot settle alone: pareto_front keeps
+ * whichever of two plans with identical (memory, time) its std::sort
+ * puts first. When such a twin is on the front (it happens on
+ * elementwise and softmax operators), the call runs pareto_front over
+ * the compact records in search order, which sorts them exactly as it
+ * would sort the full plans and so keeps the same twin.
  */
 std::vector<ExecPlan> enumerate_exec_plans(const graph::Operator& op,
                                            const PlanContext& ctx);
@@ -85,7 +98,10 @@ int min_time_cost_index(const std::vector<PreloadPlan>& front,
 /**
  * Fills the derived metrics of @p plan for @p op; exposed for tests.
  * Returns false when the plan is infeasible (tile does not fit in the
- * SRAM budget or factors exceed dims/cores).
+ * SRAM budget, factors exceed dims/cores, or residency factors exceed
+ * their sharing groups). The one formula the enumerator also uses: a
+ * partition half (tiles, groups, byte needs, compute and reduction
+ * time) followed by a replication half (space, fetches, times).
  */
 bool compute_plan_metrics(const graph::Operator& op, const PlanContext& ctx,
                           ExecPlan& plan);

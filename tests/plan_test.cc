@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <random>
 
 #include "cost/exec_cost.h"
 #include "graph/model_builder.h"
@@ -55,6 +56,33 @@ TEST(ParetoTest, SingletonAndEmpty)
                   [](const Point& p) { return p.time; })
                   .size(),
               1u);
+}
+
+TEST(ParetoTest, SkylineMatchesSortedFront)
+{
+    // Seeded point sets on a coarse grid, so duplicates, equal-memory
+    // and equal-time points are common.
+    std::mt19937_64 rng(0x5c71);
+    int twins = 0;
+    for (int round = 0; round < 200; ++round) {
+        std::vector<Point> pts(1 + rng() % 40);
+        ParetoSkyline<Point> skyline;
+        for (Point& p : pts) {
+            p = {rng() % 12, static_cast<double>(rng() % 12)};
+            skyline.offer(p.mem, p.time, p);
+        }
+        auto sorted = pareto_front(
+            pts, [](const Point& p) { return p.mem; },
+            [](const Point& p) { return p.time; });
+        auto streamed = skyline.front();
+        twins += skyline.has_twin();
+        ASSERT_EQ(streamed.size(), sorted.size()) << "round " << round;
+        for (size_t i = 0; i < sorted.size(); ++i) {
+            EXPECT_EQ(streamed[i].mem, sorted[i].mem) << "round " << round;
+            EXPECT_EQ(streamed[i].time, sorted[i].time) << "round " << round;
+        }
+    }
+    EXPECT_GT(twins, 0) << "the sweep must exercise exact ties";
 }
 
 class PlanEnumeratorTest : public ::testing::Test {

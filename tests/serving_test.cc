@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
+#include <string>
 
 #include "elk/plan_cache.h"
 #include "elk/serving_compiler.h"
@@ -376,6 +378,46 @@ TEST_F(ServerTest, PoissonReportBitIdenticalAcrossCompilerJobs)
     auto parallel = serve(parallel_sc, sopts, arrivals);
     EXPECT_EQ(serial.serialize_bits(), parallel.serialize_bits());
     EXPECT_EQ(serial.requests, 16);
+}
+
+/// This process's OS thread count from /proc/self/status; -1 where
+/// /proc is absent.
+int
+process_threads()
+{
+    std::ifstream status("/proc/self/status");
+    std::string line;
+    while (std::getline(status, line)) {
+        if (line.rfind("Threads:", 0) == 0) {
+            return std::stoi(line.substr(8));
+        }
+    }
+    return -1;
+}
+
+TEST(ServingCompilerTest, CachedBucketsHoldNoCompilerThreads)
+{
+    const int before = process_threads();
+    if (before < 0) {
+        GTEST_SKIP() << "no /proc/self/status";
+    }
+    compiler::CompileOptions copts;
+    copts.mode = compiler::Mode::kElkFull;
+    copts.max_orders = 6;
+    compiler::ServingCompiler sc(testing::tiny_llm(), 512, tiny_chip(),
+                                 copts, nullptr, 4);
+    // Every decode bucket of a max_batch 128 server: powers of two.
+    std::vector<std::shared_ptr<const sim::SimProgram>> programs;
+    for (int batch = 1; batch <= 128; batch *= 2) {
+        programs.push_back(sc.program(batch));
+    }
+    ASSERT_EQ(programs.size(), 8u);
+    // A cached bucket keeps its program only: the bucket compilers and
+    // their 4-job worker pools are gone once lowering is done.
+    EXPECT_EQ(process_threads(), before);
+    for (size_t i = 0; i < programs.size(); ++i) {
+        EXPECT_EQ(sc.program(1 << i), programs[i]) << "bucket " << (1 << i);
+    }
 }
 
 TEST_F(ServerTest, OpenLoopLeavesIdleGapsBetweenArrivals)
