@@ -1,9 +1,9 @@
 /**
  * @file
- * The Elk compiler facade (paper Fig. 9): a thin driver over the pass
- * pipeline in pass.h. It owns the analysis products (hardware
- * analysis + plan library, built once per (graph, chip) pair) and
- * runs the mode-gated scheduling passes per compile() call:
+ * The Elk compiler (paper Fig. 9). It owns the analysis products
+ * (hardware analysis + plan library, built once per (graph, chip)
+ * pair) and calls one design's schedule stages (pass.h) per compile()
+ * call:
  *
  *  - Basic:    maximize execution space, preload only the next op;
  *  - Static:   T10-extended — fixed preload/execution split, best
@@ -20,8 +20,6 @@
 #define ELK_ELK_COMPILER_H
 
 #include <memory>
-#include <mutex>
-#include <string>
 
 #include "cost/exec_cost.h"
 #include "elk/pass.h"
@@ -39,8 +37,8 @@ struct CompileResult {
     ExecutionPlan plan;
     SearchStats stats;
     double compile_seconds = 0.0;
-    /// True when the plan came from the PlanCache (the scheduling
-    /// passes were skipped via the CompileState::cached_plan hook).
+    /// True when the plan came from the PlanCache (no schedule stage
+    /// ran).
     bool from_cache = false;
 };
 
@@ -48,13 +46,13 @@ struct CompileResult {
 class Compiler {
   public:
     /**
-     * Builds the analysis products (hardware analysis + plan library)
-     * by running the pipeline prefix. @p cost_model overrides the
-     * planner's execution cost model (default: the analytic model);
-     * the pointer must outlive the compiler. @p jobs sets the worker
-     * threads for the parallel passes — 1 (default) is serial, 0 uses
-     * every hardware thread, N > 1 uses N threads; the plan library
-     * build in this constructor already fans out over them.
+     * Builds the analysis products (hardware analysis + plan
+     * library). @p cost_model overrides the planner's execution cost
+     * model (default: the analytic model); the pointer must outlive
+     * the compiler. @p jobs sets the worker threads for the parallel
+     * stages — 1 (default) is serial, 0 uses every hardware thread,
+     * N > 1 uses N threads; the plan library build in this
+     * constructor already fans out over them.
      */
     Compiler(const graph::Graph& graph, const hw::ChipConfig& cfg,
              const cost::ExecCostModel* cost_model = nullptr,
@@ -62,14 +60,16 @@ class Compiler {
 
     /// Same for @p machine's chip with the analytic cost model, reusing
     /// the machine's topology and traffic model instead of rebuilding
-    /// them; the plans are identical.
+    /// them; the plans are identical. An ideal split-fabric @p machine
+    /// is fine: the offline tuning sweeps still simulate on the
+    /// chip's non-ideal fabric.
     Compiler(const graph::Graph& graph, const sim::Machine& machine,
              int jobs = 1);
 
-    /// Compiles an execution plan for the requested design by running
-    /// the scheduling passes of the pipeline. With a plan cache
-    /// attached, a hit skips them (CompileState::cached_plan hook)
-    /// and a miss stores the freshly compiled result.
+    /// Compiles an execution plan for the requested design. With a
+    /// plan cache attached, a hit returns the cached result and a miss
+    /// stores the freshly compiled one. Concurrent calls on one
+    /// Compiler are safe: each works on its own copy of the state.
     CompileResult compile(const CompileOptions& opts = {}) const;
 
     /**
@@ -85,9 +85,6 @@ class Compiler {
     /// Plan context (for lowering to the simulator).
     const plan::PlanContext& context() const { return state_.ctx; }
 
-    /// The pass pipeline this compiler drives (--passes, tests).
-    const CompilerPipeline& pipeline() const { return pipeline_; }
-
     /// The paper's K for this graph: the longest run of consecutive
     /// operators whose minimum preload spaces fit on-chip together.
     int max_fit_window() const;
@@ -96,18 +93,14 @@ class Compiler {
     int jobs() const;
 
   private:
-    /// The shared body of the constructors.
-    void init(const graph::Graph& graph, const hw::ChipConfig& cfg,
+    /// The shared body of the constructors: hardware analysis on
+    /// @p machine, then the plan library.
+    void init(const graph::Graph& graph,
+              std::shared_ptr<const sim::Machine> machine,
               const cost::ExecCostModel* cost_model, int jobs);
 
-    CompilerPipeline pipeline_;
     std::unique_ptr<util::ThreadPool> pool_;
     CompileState state_;  ///< analysis products shared by compiles.
-    /// Offline-tuning machine cached across compile() calls; guarded
-    /// by machine_mu_ so concurrent compile() calls on one Compiler
-    /// are safe (the rest of compile() works on a private state copy).
-    mutable std::mutex machine_mu_;
-    mutable std::shared_ptr<const sim::Machine> cached_machine_;
     PlanCache* plan_cache_ = nullptr;  ///< non-owning, optional.
 };
 

@@ -40,7 +40,7 @@
 
 namespace elk::compiler {
 
-/// Knobs of the scheduling pass.
+/// Knobs of the inductive scheduler.
 struct ScheduleOptions {
     /// Cap on simultaneously live preloaded operators (search width).
     int max_window = 28;

@@ -1,25 +1,20 @@
 /**
  * @file
- * The compiler's pass pipeline (paper Fig. 9, staged).
+ * The compiler's stages (paper Fig. 9) and the state they share.
  *
- * Compilation is a sequence of passes over one shared CompileState:
+ * Compiler (compiler.h) runs one fixed sequence over a CompileState:
  *
- *   hardware-analysis  -> topology + traffic model + plan context
- *   plan-library       -> per-signature Pareto fronts (parallel)
- *   schedule-basic     |  mode-gated scheduling: exactly one of these
- *   schedule-static    |  produces state.plan for the requested design
- *   schedule-elk       |  (Elk-Dyn; Elk-Full refines it below)
- *   schedule-ideal     |
- *   preload-order-search -> §4.4 candidate scoring (parallel), Elk-Full
+ *   hardware analysis  -> sim::Machine + plan context  (constructor)
+ *   plan library       -> per-signature Pareto fronts  (constructor)
+ *   one schedule stage -> schedule_basic | schedule_static |
+ *                         schedule_elk (+ preload_order_search for
+ *                         Elk-Full) | build_ideal_plan (ideal.h)
  *   finalize           -> Table 2 search statistics
  *
- * Contract: a pass reads only CompileState fields produced by earlier
- * passes and fills its own products; environment products (topology,
- * plan library, tuning machine) are shared_ptrs so states can be
- * copied per compile() call, and passes skip work that is already
- * present. Parallel passes fan out over state.pool and must merge
- * deterministically — the compiled plan is bit-identical at any job
- * count (enforced by pipeline_test).
+ * The analysis products are shared_ptrs, so each compile() call works
+ * on its own cheap copy of the state. Parallel stages fan out over
+ * state.pool and merge deterministically — the compiled plan is
+ * bit-identical at any job count (enforced by pipeline_test).
  */
 #ifndef ELK_ELK_PASS_H
 #define ELK_ELK_PASS_H
@@ -27,14 +22,10 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "cost/exec_cost.h"
 #include "elk/inductive_scheduler.h"
 #include "elk/schedule_ir.h"
-#include "hw/chip_config.h"
-#include "hw/topology.h"
-#include "hw/traffic.h"
 #include "sim/machine.h"
 #include "util/thread_pool.h"
 
@@ -59,13 +50,6 @@ struct CompileOptions {
     /// Static mode only: fixed per-core preload-region size in bytes;
     /// 0 searches the best static size offline (§6.1).
     uint64_t static_region = 0;
-    /// Worker threads for the parallel passes: 0 inherits the
-    /// Compiler's job count, 1 forces serial, N > 1 uses N threads.
-    /// The compiled plan is bit-identical at any setting.
-    int jobs = 0;
-    /// When non-empty, only the named passes run (--passes); unknown
-    /// names are a fatal error. Mode gating still applies.
-    std::vector<std::string> pass_filter;
 };
 
 /// Search-space statistics (paper Table 2) gathered during compile.
@@ -79,98 +63,52 @@ struct SearchStats {
 };
 
 /**
- * Everything the passes consume and produce. Environment products are
- * shared so per-compile copies are cheap; per-compile products (plan,
- * stats) are value members of each copy.
+ * Everything the stages consume and produce. The analysis products
+ * are shared so per-compile copies are cheap; per-compile products
+ * (plan, stats) are value members of each copy.
  */
 struct CompileState {
     // --- inputs ---
     const graph::Graph* graph = nullptr;
     CompileOptions opts;
-    /// Worker pool for the parallel passes; nullptr = serial.
+    /// Worker pool for the parallel stages; nullptr = serial.
     util::ThreadPool* pool = nullptr;
 
-    // --- hardware-analysis products ---
-    std::shared_ptr<const hw::ChipConfig> cfg;  ///< validated copy.
-    std::shared_ptr<const hw::Topology> topo;
-    std::shared_ptr<const hw::TrafficModel> traffic;
-    plan::PlanContext ctx;  ///< points into cfg/traffic/cost handle.
+    // --- hardware analysis ---
+    /// The chip's non-ideal machine: its config and traffic model back
+    /// the plan context, and the offline tuning sweeps simulate on it.
+    std::shared_ptr<const sim::Machine> machine;
+    plan::PlanContext ctx;  ///< points into machine + cost handle.
 
-    // --- plan-library products ---
+    // --- plan library ---
     std::shared_ptr<const PlanLibrary> library;
 
-    // --- scheduling scratch (built on demand, reused if present) ---
-    std::shared_ptr<const sim::Machine> tuning_machine;
-
-    /// Plan-cache hook: when the driver resolves the compile from a
-    /// cached plan it sets this (and copies it into `plan`); every
-    /// scheduling pass then disables itself, so a cache hit runs only
-    /// the analysis/finalize stages.
-    std::shared_ptr<const ExecutionPlan> cached_plan;
-
     // --- per-compile products ---
-    /// Scheduler knobs tuned by schedule-elk's offline sweep; the
-    /// preload-order-search pass schedules candidates with them.
+    /// Scheduler knobs tuned by schedule_elk's offline sweep;
+    /// preload_order_search schedules candidates with them.
     std::optional<ScheduleOptions> tuned_schedule;
     std::optional<ExecutionPlan> plan;
     SearchStats stats;
 };
 
-/// One pipeline stage.
-class Pass {
-  public:
-    virtual ~Pass() = default;
+/// Basic (§6.1): maximize the execution space, preload only the next
+/// operator.
+ExecutionPlan schedule_basic(const CompileState& state);
 
-    /// Stable pass name (used by --passes and the pipeline tests).
-    virtual std::string name() const = 0;
+/// Static (§6.1, T10-extended): fixed preload/execution split, best
+/// static sizes searched offline on state.machine.
+ExecutionPlan schedule_static(const CompileState& state);
 
-    /// Whether the pass participates for @p state's mode/options
-    /// (before the pass_filter is applied).
-    virtual bool enabled(const CompileState& state) const
-    {
-        (void)state;
-        return true;
-    }
+/// Elk-Dyn (§4.2-4.3): inductive scheduling with cost-aware
+/// allocation, its knobs tuned offline; sets plan and tuned_schedule.
+void schedule_elk(CompileState& state);
 
-    /// Runs the pass; must only read products of earlier passes.
-    virtual void run(CompileState& state) const = 0;
-};
+/// Elk-Full (§4.4): refines schedule_elk's plan by preload order
+/// permutation; sets plan and the order-search statistics.
+void preload_order_search(CompileState& state);
 
-/// An ordered list of passes plus gating/filter logic.
-class CompilerPipeline {
-  public:
-    CompilerPipeline() = default;
-    CompilerPipeline(CompilerPipeline&&) = default;
-    CompilerPipeline& operator=(CompilerPipeline&&) = default;
-
-    /// Appends a pass; returns *this for chaining.
-    CompilerPipeline& add(std::unique_ptr<Pass> pass);
-
-    /// All registered pass names, in pipeline order.
-    std::vector<std::string> pass_names() const;
-
-    /// Names of the passes that would actually run for @p state
-    /// (mode gating plus the options' pass filter), in order.
-    std::vector<std::string> enabled_passes(const CompileState& state) const;
-
-    /// Runs every selected pass in order.
-    void run(CompileState& state) const;
-
-    /// Runs the selected passes up to and including @p last_pass
-    /// (used to build the analysis products at Compiler construction).
-    void run_prefix(CompileState& state, const std::string& last_pass) const;
-
-    /// Panics when @p filter names a pass this pipeline doesn't have.
-    void validate_filter(const std::vector<std::string>& filter) const;
-
-    /// The standard Fig. 9 pipeline; passes self-gate by mode.
-    static CompilerPipeline standard();
-
-  private:
-    bool selected(const Pass& pass, const CompileState& state) const;
-
-    std::vector<std::unique_ptr<Pass>> passes_;
-};
+/// Fills the Table 2 statistics of state.stats.
+void finalize(CompileState& state);
 
 /// The paper's K for a plan library: the longest run of consecutive
 /// operators whose minimum preload spaces fit on-chip together.

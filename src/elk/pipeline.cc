@@ -1,8 +1,8 @@
 /**
  * @file
- * The standard pass pipeline (see pass.h): hardware analysis, plan
- * library, the four mode-gated scheduling passes, the §4.4 preload
- * order search, and the Table 2 statistics finalizer.
+ * The compiler's schedule stages (see pass.h): Basic, Static, Elk-Dyn
+ * (schedule_elk), the §4.4 preload order search of Elk-Full, and the
+ * Table 2 statistics finalizer. Compiler::compile calls them.
  *
  * Every parallel loop here follows the same shape: candidates are
  * enumerated serially in a fixed order, evaluated into per-candidate
@@ -16,7 +16,6 @@
 #include <limits>
 #include <utility>
 
-#include "elk/ideal.h"
 #include "elk/inductive_scheduler.h"
 #include "elk/preload_reorder.h"
 #include "runtime/executor.h"
@@ -67,14 +66,6 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Runs fn(0..n-1) on the state's pool, or inline without one.
-void
-for_each_candidate(CompileState& state, int n,
-                   const std::function<void(int)>& fn)
-{
-    util::ThreadPool::run(state.pool, n, fn);
-}
-
 /// Index of the first strict minimum of @p scores (-1 when every slot
 /// is infinite) — the deterministic merge matching a serial sweep
 /// that keeps the first strictly better candidate.
@@ -92,143 +83,71 @@ argmin_first(const std::vector<double>& scores)
     return best;
 }
 
-/// Builds (or reuses) the simulator machine the offline tuning sweeps
-/// estimate performance on. It shares hardware-analysis's topology
-/// and traffic model rather than rebuilding them.
-const sim::Machine&
-ensure_tuning_machine(CompileState& state)
+}  // namespace
+
+// ---------------------------------------------------------------------------
+// Basic
+
+ExecutionPlan
+schedule_basic(const CompileState& state)
 {
-    if (!state.tuning_machine) {
-        state.tuning_machine = std::make_shared<sim::Machine>(
-            *state.cfg, state.topo, state.traffic);
+    const graph::Graph& graph = *state.graph;
+    const PlanLibrary& library = *state.library;
+    const int n = graph.size();
+    const uint64_t budget = state.ctx.sram_budget();
+    ExecutionPlan plan;
+    plan.mode = "Basic";
+    plan.ops.resize(n);
+    InductiveScheduler sched(library);
+
+    for (int i = 0; i < n; ++i) {
+        OpSchedule& op = plan.ops[i];
+        op.op_id = i;
+        // Basic maximizes the execution space: always the fastest
+        // plan.
+        op.exec = library.exec_plans(i)[0];
+        op.est_exec_time = op.exec.exec_time;
     }
-    return *state.tuning_machine;
+    for (int i = 0; i < n; ++i) {
+        OpSchedule& op = plan.ops[i];
+        // The remaining space while the *previous* operator
+        // executes bounds this operator's preload footprint.
+        uint64_t prev_exec =
+            i > 0 ? plan.ops[i - 1].exec.exec_space : 0;
+        uint64_t room = budget > prev_exec ? budget - prev_exec : 0;
+        const auto& front = library.preload_plans(i, 0);
+        int pick = static_cast<int>(front.size()) - 1;
+        for (int c = 0; c < static_cast<int>(front.size()); ++c) {
+            if (front[c].preload_space <= room) {
+                pick = c;
+                break;
+            }
+        }
+        op.preload = front[pick];
+        op.est_preload_time = sched.preload_duration(i, op.preload);
+        plan.preload_order.push_back(i);
+        plan.issue_slot.push_back(std::max(0, i - 1));
+    }
+    double exec_sum = 0.0;
+    for (const auto& op : plan.ops) {
+        exec_sum += op.est_exec_time + op.est_preload_time;
+    }
+    plan.est_total_time = exec_sum;
+    return plan;
 }
 
 // ---------------------------------------------------------------------------
-// hardware-analysis
-
-class HardwareAnalysisPass : public Pass {
-  public:
-    std::string name() const override { return "hardware-analysis"; }
-
-    void
-    run(CompileState& state) const override
-    {
-        util::check(state.graph != nullptr && state.cfg != nullptr,
-                    "hardware-analysis: CompileState needs a graph and "
-                    "a chip config");
-        if (state.ctx.traffic != nullptr) {
-            return;  // analysis products already built (state reuse)
-        }
-        if (!state.topo) {  // not shared in from a sim::Machine
-            state.cfg->validate();
-            state.topo = std::make_shared<hw::Topology>(*state.cfg);
-            state.traffic = std::make_shared<hw::TrafficModel>(
-                *state.topo, *state.cfg);
-        }
-        if (state.ctx.exec_cost == nullptr) {
-            state.ctx.set_cost_model(cost::make_analytic_cost());
-        }
-        state.ctx.cfg = state.cfg.get();
-        state.ctx.traffic = state.traffic.get();
-    }
-};
-
-// ---------------------------------------------------------------------------
-// plan-library
-
-class PlanLibraryPass : public Pass {
-  public:
-    std::string name() const override { return "plan-library"; }
-
-    void
-    run(CompileState& state) const override
-    {
-        if (state.library) {
-            return;  // already built (state reuse across compiles)
-        }
-        util::check(state.ctx.cfg != nullptr,
-                    "plan-library: hardware-analysis must run first");
-        state.library = std::make_shared<PlanLibrary>(
-            *state.graph, state.ctx, state.pool);
-    }
-};
-
-// ---------------------------------------------------------------------------
-// schedule-basic
-
-class BasicSchedulePass : public Pass {
-  public:
-    std::string name() const override { return "schedule-basic"; }
-
-    bool
-    enabled(const CompileState& state) const override
-    {
-        return state.opts.mode == Mode::kBasic && !state.cached_plan;
-    }
-
-    void
-    run(CompileState& state) const override
-    {
-        const graph::Graph& graph = *state.graph;
-        const PlanLibrary& library = *state.library;
-        const int n = graph.size();
-        const uint64_t budget = state.ctx.sram_budget();
-        ExecutionPlan plan;
-        plan.mode = "Basic";
-        plan.ops.resize(n);
-        InductiveScheduler sched(library);
-
-        for (int i = 0; i < n; ++i) {
-            OpSchedule& op = plan.ops[i];
-            op.op_id = i;
-            // Basic maximizes the execution space: always the fastest
-            // plan.
-            op.exec = library.exec_plans(i)[0];
-            op.est_exec_time = op.exec.exec_time;
-        }
-        for (int i = 0; i < n; ++i) {
-            OpSchedule& op = plan.ops[i];
-            // The remaining space while the *previous* operator
-            // executes bounds this operator's preload footprint.
-            uint64_t prev_exec =
-                i > 0 ? plan.ops[i - 1].exec.exec_space : 0;
-            uint64_t room = budget > prev_exec ? budget - prev_exec : 0;
-            const auto& front = library.preload_plans(i, 0);
-            int pick = static_cast<int>(front.size()) - 1;
-            for (int c = 0; c < static_cast<int>(front.size()); ++c) {
-                if (front[c].preload_space <= room) {
-                    pick = c;
-                    break;
-                }
-            }
-            op.preload = front[pick];
-            op.est_preload_time = sched.preload_duration(i, op.preload);
-            plan.preload_order.push_back(i);
-            plan.issue_slot.push_back(std::max(0, i - 1));
-        }
-        double exec_sum = 0.0;
-        for (const auto& op : plan.ops) {
-            exec_sum += op.est_exec_time + op.est_preload_time;
-        }
-        plan.est_total_time = exec_sum;
-        state.plan = std::move(plan);
-    }
-};
-
-// ---------------------------------------------------------------------------
-// schedule-static
+// Static
 
 /**
  * The Static (T10-extended) schedule: fixed preload/execution split,
- * best static sizes searched offline (§6.1). Shared with schedule-elk,
+ * best static sizes searched offline (§6.1). Shared with schedule_elk,
  * which keeps the uniform split as a never-regress baseline. Each
  * (region, policy) candidate is built and simulated independently —
  * the parallel fan-out — and merged by first-minimum.
  */
 ExecutionPlan
-schedule_static(CompileState& state)
+schedule_static(const CompileState& state)
 {
     const graph::Graph& graph = *state.graph;
     const PlanLibrary& library = *state.library;
@@ -260,12 +179,12 @@ schedule_static(CompileState& state)
         }
     }
 
-    const sim::Machine& machine = ensure_tuning_machine(state);
+    const sim::Machine& machine = *state.machine;
     std::vector<ExecutionPlan> plans(candidates.size());
     std::vector<double> times(candidates.size(), kInf);
 
-    for_each_candidate(state, static_cast<int>(candidates.size()),
-                       [&](int c) {
+    util::ThreadPool::run(state.pool, static_cast<int>(candidates.size()),
+                          [&](int c) {
         const auto [region, use_max] = candidates[c];
         ExecutionPlan plan;
         plan.mode = "Static";
@@ -338,354 +257,175 @@ schedule_static(CompileState& state)
     return std::move(plans[best]);
 }
 
-class StaticSchedulePass : public Pass {
-  public:
-    std::string name() const override { return "schedule-static"; }
+// ---------------------------------------------------------------------------
+// Elk-Dyn
 
-    bool
-    enabled(const CompileState& state) const override
-    {
-        return state.opts.mode == Mode::kStatic && !state.cached_plan;
+void
+schedule_elk(CompileState& state)
+{
+    const graph::Graph& graph = *state.graph;
+    const PlanLibrary& library = *state.library;
+    const plan::PlanContext& ctx = state.ctx;
+    const CompileOptions& opts = state.opts;
+    const InductiveScheduler sched(library);
+    ScheduleOptions sopts;
+    sopts.max_window = opts.max_window;
+
+    // The scheduler's additive estimate cannot see global fabric
+    // contention, so the preload depth cap is itself a tuning
+    // knob: schedule the identity order at a few caps and keep
+    // the best simulated plan (offline tuning, like the Static
+    // size search). Every (window, weight) candidate is
+    // independent — the parallel fan-out.
+    std::vector<ScheduleOptions> candidates;
+    for (int w = opts.max_window; w >= 1; w = w * 2 / 3) {
+        for (double weight : {0.0, 0.25, 1.0, 4.0, 1e9}) {
+            ScheduleOptions wopts = sopts;
+            wopts.max_window = w;
+            wopts.overhead_weight = weight;
+            candidates.push_back(wopts);
+        }
+        if (w == 1) {
+            break;
+        }
     }
 
-    void
-    run(CompileState& state) const override
+    const sim::Machine& machine = *state.machine;
+    std::vector<std::optional<ExecutionPlan>> plans(candidates.size());
+    std::vector<double> times(candidates.size(), kInf);
+    util::ThreadPool::run(state.pool, static_cast<int>(candidates.size()),
+                          [&](int c) {
+        auto cand = sched.schedule_in_order(candidates[c]);
+        if (!cand) {
+            return;
+        }
+        sim::Engine engine(machine);
+        times[c] =
+            engine.run(runtime::lower_to_sim(graph, *cand, ctx))
+                .total_time;
+        plans[c] = std::move(cand);
+    });
+
+    int best = argmin_first(times);
+    util::check(best >= 0, "Elk: identity preload order infeasible");
+    sopts = candidates[best];
+    std::optional<ExecutionPlan> in_order = std::move(plans[best]);
+
+    // The uniform preload/execution split is one more point of
+    // Elk's trade-off space (a fixed frontier with fixed spaces);
+    // include it in the sweep so the dynamic search never
+    // regresses below it.
     {
-        state.plan = schedule_static(state);
+        sim::Engine engine(machine);
+        // times[best] is *in_order's simulated total time already
+        // (same plan, same deterministic machine) — no re-run.
+        double in_order_time = times[best];
+        ExecutionPlan uniform = schedule_static(state);
+        double uniform_time =
+            engine.run(runtime::lower_to_sim(graph, uniform, ctx))
+                .total_time;
+        if (uniform_time < in_order_time) {
+            in_order = std::move(uniform);
+        }
     }
-};
+    in_order->mode = "Elk-Dyn";
+    if (state.opts.mode == Mode::kElkDyn) {
+        state.stats.orders_tested = 1;
+    }
+    state.tuned_schedule = sopts;
+    state.plan = std::move(in_order);
+}
 
 // ---------------------------------------------------------------------------
-// schedule-elk
+// Elk-Full
 
-class ElkSchedulePass : public Pass {
-  public:
-    std::string name() const override { return "schedule-elk"; }
+void
+preload_order_search(CompileState& state)
+{
+    util::check(state.plan.has_value() &&
+                    state.tuned_schedule.has_value(),
+                "preload_order_search: schedule_elk must run first");
+    const graph::Graph& graph = *state.graph;
+    const PlanLibrary& library = *state.library;
+    const plan::PlanContext& ctx = state.ctx;
+    const CompileOptions& opts = state.opts;
+    const ScheduleOptions& sopts = *state.tuned_schedule;
+    const InductiveScheduler sched(library);
+    std::optional<ExecutionPlan> in_order = std::move(state.plan);
 
-    bool
-    enabled(const CompileState& state) const override
-    {
-        return (state.opts.mode == Mode::kElkDyn ||
-                state.opts.mode == Mode::kElkFull) &&
-               !state.cached_plan;
+    // Elk-Full: evaluate candidate preload orders on a model
+    // prefix, then schedule the full model with the winner (§4.4).
+    ReorderStats rstats;
+    auto orders =
+        generate_candidate_orders(library, opts.max_orders, &rstats);
+    state.stats.heavy_per_layer = rstats.heavy_per_layer;
+    state.stats.heavy_fit = rstats.heavy_fit_on_chip;
+    state.stats.orders_tested = rstats.candidates;
+
+    // Score on a prefix of the model.
+    int prefix_ops = 0;
+    for (const auto& op : graph.ops()) {
+        if (op.layer >= 0 && op.layer < opts.score_layers) {
+            prefix_ops = op.id + 1;
+        }
     }
-
-    void
-    run(CompileState& state) const override
-    {
-        const graph::Graph& graph = *state.graph;
-        const PlanLibrary& library = *state.library;
-        const plan::PlanContext& ctx = state.ctx;
-        const CompileOptions& opts = state.opts;
-        const InductiveScheduler sched(library);
-        ScheduleOptions sopts;
-        sopts.max_window = opts.max_window;
-
-        // The scheduler's additive estimate cannot see global fabric
-        // contention, so the preload depth cap is itself a tuning
-        // knob: schedule the identity order at a few caps and keep
-        // the best simulated plan (offline tuning, like the Static
-        // size search). Every (window, weight) candidate is
-        // independent — the parallel fan-out.
-        std::vector<ScheduleOptions> candidates;
-        for (int w = opts.max_window; w >= 1; w = w * 2 / 3) {
-            for (double weight : {0.0, 0.25, 1.0, 4.0, 1e9}) {
-                ScheduleOptions wopts = sopts;
-                wopts.max_window = w;
-                wopts.overhead_weight = weight;
-                candidates.push_back(wopts);
-            }
-            if (w == 1) {
-                break;
-            }
-        }
-
-        const sim::Machine& machine = ensure_tuning_machine(state);
-        std::vector<std::optional<ExecutionPlan>> plans(candidates.size());
-        std::vector<double> times(candidates.size(), kInf);
-        for_each_candidate(state, static_cast<int>(candidates.size()),
-                           [&](int c) {
-            auto cand = sched.schedule_in_order(candidates[c]);
-            if (!cand) {
-                return;
-            }
-            sim::Engine engine(machine);
-            times[c] =
-                engine.run(runtime::lower_to_sim(graph, *cand, ctx))
-                    .total_time;
-            plans[c] = std::move(cand);
-        });
-
-        int best = argmin_first(times);
-        util::check(best >= 0, "Elk: identity preload order infeasible");
-        sopts = candidates[best];
-        std::optional<ExecutionPlan> in_order = std::move(plans[best]);
-
-        // The uniform preload/execution split is one more point of
-        // Elk's trade-off space (a fixed frontier with fixed spaces);
-        // include it in the sweep so the dynamic search never
-        // regresses below it.
-        {
-            sim::Engine engine(machine);
-            // times[best] is *in_order's simulated total time already
-            // (same plan, same deterministic machine) — no re-run.
-            double in_order_time = times[best];
-            ExecutionPlan uniform = schedule_static(state);
-            double uniform_time =
-                engine.run(runtime::lower_to_sim(graph, uniform, ctx))
-                    .total_time;
-            if (uniform_time < in_order_time) {
-                in_order = std::move(uniform);
-            }
-        }
-        in_order->mode = "Elk-Dyn";
-        if (state.opts.mode == Mode::kElkDyn) {
-            state.stats.orders_tested = 1;
-        }
-        state.tuned_schedule = sopts;
-        state.plan = std::move(in_order);
+    if (prefix_ops == 0) {
+        prefix_ops = graph.size();
     }
-};
+    ScheduleOptions score_opts = sopts;
+    score_opts.limit_ops = prefix_ops;
 
-// ---------------------------------------------------------------------------
-// preload-order-search
+    // Each candidate order is scheduled on the prefix and
+    // *simulated* (the paper: "applies operator scheduling
+    // policies and conducts a performance estimation") — the
+    // simulator sees the interconnect contention that reordering
+    // is meant to avoid. The per-order scoring fans out over the
+    // pool; the first-minimum merge keeps the serial winner.
+    const sim::Machine& machine = *state.machine;
+    std::vector<double> scores = score_candidate_orders(
+        library, orders, score_opts, machine, state.pool);
+    int best = argmin_first(scores);
 
-class PreloadOrderSearchPass : public Pass {
-  public:
-    std::string name() const override { return "preload-order-search"; }
-
-    bool
-    enabled(const CompileState& state) const override
-    {
-        return state.opts.mode == Mode::kElkFull && !state.cached_plan;
+    // Schedule the winner on the full model; fall back to the
+    // identity order when it does not actually win end to end.
+    std::optional<ExecutionPlan> full;
+    if (best >= 0) {
+        full = sched.schedule(orders[best], sopts);
     }
-
-    void
-    run(CompileState& state) const override
-    {
-        util::check(state.plan.has_value() &&
-                        state.tuned_schedule.has_value(),
-                    "preload-order-search: schedule-elk must run first");
-        const graph::Graph& graph = *state.graph;
-        const PlanLibrary& library = *state.library;
-        const plan::PlanContext& ctx = state.ctx;
-        const CompileOptions& opts = state.opts;
-        const ScheduleOptions& sopts = *state.tuned_schedule;
-        const InductiveScheduler sched(library);
-        std::optional<ExecutionPlan> in_order = std::move(state.plan);
-
-        // Elk-Full: evaluate candidate preload orders on a model
-        // prefix, then schedule the full model with the winner (§4.4).
-        ReorderStats rstats;
-        auto orders =
-            generate_candidate_orders(library, opts.max_orders, &rstats);
-        state.stats.heavy_per_layer = rstats.heavy_per_layer;
-        state.stats.heavy_fit = rstats.heavy_fit_on_chip;
-        state.stats.orders_tested = rstats.candidates;
-
-        // Score on a prefix of the model.
-        int prefix_ops = 0;
-        for (const auto& op : graph.ops()) {
-            if (op.layer >= 0 && op.layer < opts.score_layers) {
-                prefix_ops = op.id + 1;
-            }
-        }
-        if (prefix_ops == 0) {
-            prefix_ops = graph.size();
-        }
-        ScheduleOptions score_opts = sopts;
-        score_opts.limit_ops = prefix_ops;
-
-        // Each candidate order is scheduled on the prefix and
-        // *simulated* (the paper: "applies operator scheduling
-        // policies and conducts a performance estimation") — the
-        // simulator sees the interconnect contention that reordering
-        // is meant to avoid. The per-order scoring fans out over the
-        // pool; the first-minimum merge keeps the serial winner.
-        const sim::Machine& machine = ensure_tuning_machine(state);
-        std::vector<double> scores = score_candidate_orders(
-            library, orders, score_opts, machine, state.pool);
-        int best = argmin_first(scores);
-
-        // Schedule the winner on the full model; fall back to the
-        // identity order when it does not actually win end to end.
-        std::optional<ExecutionPlan> full;
-        if (best >= 0) {
-            full = sched.schedule(orders[best], sopts);
-        }
-        if (full) {
-            sim::Engine engine(machine);
-            double full_time =
-                engine.run(runtime::lower_to_sim(graph, *full, ctx))
-                    .total_time;
-            double identity_time =
-                engine.run(runtime::lower_to_sim(graph, *in_order, ctx))
-                    .total_time;
-            if (identity_time < full_time) {
-                full = std::move(in_order);
-            }
-        } else {
+    if (full) {
+        sim::Engine engine(machine);
+        double full_time =
+            engine.run(runtime::lower_to_sim(graph, *full, ctx))
+                .total_time;
+        double identity_time =
+            engine.run(runtime::lower_to_sim(graph, *in_order, ctx))
+                .total_time;
+        if (identity_time < full_time) {
             full = std::move(in_order);
         }
-        full->mode = "Elk-Full";
-        state.plan = std::move(full);
+    } else {
+        full = std::move(in_order);
     }
-};
-
-// ---------------------------------------------------------------------------
-// schedule-ideal
-
-class IdealSchedulePass : public Pass {
-  public:
-    std::string name() const override { return "schedule-ideal"; }
-
-    bool
-    enabled(const CompileState& state) const override
-    {
-        return state.opts.mode == Mode::kIdeal && !state.cached_plan;
-    }
-
-    void
-    run(CompileState& state) const override
-    {
-        state.plan = build_ideal_plan(*state.library);
-    }
-};
+    full->mode = "Elk-Full";
+    state.plan = std::move(full);
+}
 
 // ---------------------------------------------------------------------------
 // finalize
 
-class FinalizePass : public Pass {
-  public:
-    std::string name() const override { return "finalize"; }
-
-    void
-    run(CompileState& state) const override
-    {
-        util::check(state.library != nullptr,
-                    "finalize: plan-library must run first");
-        state.stats.n_ops = state.graph->size();
-        state.stats.max_plans = state.library->max_plans_per_op();
-        state.stats.max_fit_window = max_fit_window(*state.library);
-        if (state.stats.heavy_per_layer == 0) {
-            state.stats.heavy_per_layer =
-                state.graph->hbm_heavy_per_layer();
-        }
-        if (state.stats.heavy_fit == 0) {
-            state.stats.heavy_fit = heavy_ops_fit_on_chip(*state.library);
-        }
-    }
-};
-
-}  // namespace
-
-// ---------------------------------------------------------------------------
-// CompilerPipeline
-
-CompilerPipeline&
-CompilerPipeline::add(std::unique_ptr<Pass> pass)
-{
-    passes_.push_back(std::move(pass));
-    return *this;
-}
-
-std::vector<std::string>
-CompilerPipeline::pass_names() const
-{
-    std::vector<std::string> names;
-    names.reserve(passes_.size());
-    for (const auto& pass : passes_) {
-        names.push_back(pass->name());
-    }
-    return names;
-}
-
-bool
-CompilerPipeline::selected(const Pass& pass, const CompileState& state) const
-{
-    if (!pass.enabled(state)) {
-        return false;
-    }
-    const auto& filter = state.opts.pass_filter;
-    if (filter.empty()) {
-        return true;
-    }
-    return std::find(filter.begin(), filter.end(), pass.name()) !=
-           filter.end();
-}
-
-std::vector<std::string>
-CompilerPipeline::enabled_passes(const CompileState& state) const
-{
-    std::vector<std::string> names;
-    for (const auto& pass : passes_) {
-        if (selected(*pass, state)) {
-            names.push_back(pass->name());
-        }
-    }
-    return names;
-}
-
 void
-CompilerPipeline::run(CompileState& state) const
+finalize(CompileState& state)
 {
-    for (const auto& pass : passes_) {
-        if (selected(*pass, state)) {
-            pass->run(state);
-        }
+    state.stats.n_ops = state.graph->size();
+    state.stats.max_plans = state.library->max_plans_per_op();
+    state.stats.max_fit_window = max_fit_window(*state.library);
+    if (state.stats.heavy_per_layer == 0) {
+        state.stats.heavy_per_layer =
+            state.graph->hbm_heavy_per_layer();
     }
-}
-
-void
-CompilerPipeline::run_prefix(CompileState& state,
-                             const std::string& last_pass) const
-{
-    bool found = false;
-    for (const auto& pass : passes_) {
-        if (selected(*pass, state)) {
-            pass->run(state);
-        }
-        if (pass->name() == last_pass) {
-            found = true;
-            break;
-        }
+    if (state.stats.heavy_fit == 0) {
+        state.stats.heavy_fit = heavy_ops_fit_on_chip(*state.library);
     }
-    util::check(found, "run_prefix: no pass named '" + last_pass + "'");
-}
-
-void
-CompilerPipeline::validate_filter(
-    const std::vector<std::string>& filter) const
-{
-    if (filter.empty()) {
-        return;
-    }
-    auto names = pass_names();
-    for (const auto& want : filter) {
-        if (std::find(names.begin(), names.end(), want) == names.end()) {
-            std::string all;
-            for (const auto& n : names) {
-                all += (all.empty() ? "" : ", ") + n;
-            }
-            util::fatal("unknown pass '" + want + "' (available: " + all +
-                        ")");
-        }
-    }
-}
-
-CompilerPipeline
-CompilerPipeline::standard()
-{
-    CompilerPipeline pipeline;
-    pipeline.add(std::make_unique<HardwareAnalysisPass>())
-        .add(std::make_unique<PlanLibraryPass>())
-        .add(std::make_unique<BasicSchedulePass>())
-        .add(std::make_unique<StaticSchedulePass>())
-        .add(std::make_unique<ElkSchedulePass>())
-        .add(std::make_unique<PreloadOrderSearchPass>())
-        .add(std::make_unique<IdealSchedulePass>())
-        .add(std::make_unique<FinalizePass>());
-    return pipeline;
 }
 
 }  // namespace elk::compiler

@@ -88,17 +88,12 @@ make_plan_key(const graph::Graph& graph, const hw::ChipConfig& cfg,
     for (const auto& op : graph.ops()) {
         key.batch = std::max(key.batch, static_cast<int>(op.batch));
     }
-    // Everything except `jobs` can change the produced plan; jobs is
-    // excluded by the bit-identical determinism contract.
+    // Every search knob can change the produced plan.
     Fnv1a h;
     h.mix_value(opts.max_window);
     h.mix_value(opts.max_orders);
     h.mix_value(opts.score_layers);
     h.mix_value(opts.static_region);
-    for (const auto& pass : opts.pass_filter) {
-        h.mix(pass.data(), pass.size());
-        h.mix_value('\0');
-    }
     key.options = h.hex();
     return key;
 }

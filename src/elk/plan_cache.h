@@ -4,8 +4,8 @@
  *
  * Compilation is per (model, mode, batch, chip) and deterministic, so
  * the serving stack caches ExecutionPlans under a structural key and
- * skips the scheduling passes on a hit (the CompileState::cached_plan
- * hook — see pass.h). The cache is thread-safe: replica-level sweeps
+ * Compiler::compile returns a hit without running any schedule stage.
+ * The cache is thread-safe: replica-level sweeps
  * (arrival rate x batch grids) share one cache across worker threads,
  * and because plans are bit-identical at any job count it never
  * matters which worker filled an entry first.

@@ -13,8 +13,7 @@ lower_to_sim(const graph::Graph& graph, const compiler::ExecutionPlan& plan,
 {
     const hw::ChipConfig& cfg = *ctx.cfg;
     util::check(!plan.ops.empty(),
-                "lower_to_sim: empty ExecutionPlan (did every "
-                "scheduling pass get filtered out?)");
+                "lower_to_sim: empty ExecutionPlan");
     util::check(static_cast<int>(plan.ops.size()) <= graph.size(),
                 "lower_to_sim: plan schedules more operators than the "
                 "graph has");

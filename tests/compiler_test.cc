@@ -6,6 +6,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "elk/compiler.h"
 #include "elk/device_program.h"
 #include "test_helpers.h"
@@ -29,19 +31,26 @@ class CompilerTest : public ::testing::Test {
 
 TEST_F(CompilerTest, AllModesCompile)
 {
-    for (Mode mode : {Mode::kBasic, Mode::kStatic, Mode::kElkDyn,
-                      Mode::kElkFull, Mode::kIdeal}) {
+    // Candidate preload orders each design evaluates: Elk-Dyn scores
+    // only the identity order, Elk-Full all max_orders candidates.
+    const std::pair<Mode, int> cases[] = {
+        {Mode::kBasic, 0},   {Mode::kStatic, 0}, {Mode::kElkDyn, 1},
+        {Mode::kElkFull, 8}, {Mode::kIdeal, 0},
+    };
+    for (const auto& [mode, orders_tested] : cases) {
+        SCOPED_TRACE(mode_name(mode));
         CompileOptions opts;
         opts.mode = mode;
         opts.max_orders = 8;
         CompileResult result = compiler_->compile(opts);
+        EXPECT_EQ(result.plan.mode, mode_name(mode));
         EXPECT_EQ(static_cast<int>(result.plan.ops.size()),
-                  graph_.size())
-            << mode_name(mode);
-        EXPECT_GT(result.plan.est_total_time, 0.0) << mode_name(mode);
+                  graph_.size());
+        EXPECT_GT(result.plan.est_total_time, 0.0);
         EXPECT_EQ(result.stats.n_ops, graph_.size());
         EXPECT_GT(result.stats.max_plans, 0);
         EXPECT_GT(result.stats.max_fit_window, 0);
+        EXPECT_EQ(result.stats.orders_tested, orders_tested);
     }
 }
 
@@ -131,7 +140,10 @@ TEST_F(CompilerTest, CompileTimeRecorded)
 
 // A compiler on a sim::Machine shares the machine's topology and
 // traffic model and compiles the same plans as one that builds its
-// own analysis from the chip config.
+// own analysis from the chip config. That holds for an ideal
+// split-fabric machine too (ServingCompiler's Ideal buckets pass
+// one): the Static/Elk tuning sweeps still run on the chip's
+// non-ideal fabric.
 TEST(CompilerAnalysisTest, MachineAnalysisCompilesIdenticalPlans)
 {
     graph::Graph graph =
@@ -139,9 +151,12 @@ TEST(CompilerAnalysisTest, MachineAnalysisCompilesIdenticalPlans)
     hw::ChipConfig all_to_all = testing::CompilerHarness::tiny().cfg;
     hw::ChipConfig mesh = all_to_all;
     mesh.topology = hw::TopologyKind::kMesh2D;
-    for (const hw::ChipConfig& cfg : {all_to_all, mesh}) {
-        SCOPED_TRACE(hw::topology_name(cfg.topology));
-        sim::Machine machine(cfg);
+    const std::pair<hw::ChipConfig, bool> cases[] = {
+        {all_to_all, false}, {mesh, false}, {all_to_all, true}};
+    for (const auto& [cfg, ideal] : cases) {
+        SCOPED_TRACE(hw::topology_name(cfg.topology) +
+                     (ideal ? " ideal" : ""));
+        sim::Machine machine(cfg, ideal);
         Compiler own(graph, cfg);
         Compiler shared(graph, machine);
         EXPECT_EQ(shared.context().traffic, &machine.traffic());

@@ -1,14 +1,15 @@
 /**
  * @file
- * Tests for the pass-pipeline compiler core: pass ordering and
- * mode-gating, the work-stealing thread pool, and the bit-identity of
- * parallel and serial compilation (the determinism contract of
- * pass.h) on both the tiny fixture and the quickstart model.
+ * Tests for the compiler core: the work-stealing thread pool, the
+ * bit-identity of parallel and serial compilation (the determinism
+ * contract of pass.h) on both the tiny fixture and the quickstart
+ * model, and concurrent compile() calls on one shared Compiler.
  */
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "elk/compiler.h"
@@ -19,63 +20,6 @@
 
 namespace elk::compiler {
 namespace {
-
-std::vector<std::string>
-enabled_for(Mode mode)
-{
-    CompilerPipeline pipeline = CompilerPipeline::standard();
-    CompileState probe;
-    probe.opts.mode = mode;
-    return pipeline.enabled_passes(probe);
-}
-
-TEST(PipelineTest, StandardPassOrder)
-{
-    auto names = CompilerPipeline::standard().pass_names();
-    std::vector<std::string> expected = {
-        "hardware-analysis", "plan-library",         "schedule-basic",
-        "schedule-static",   "schedule-elk",         "preload-order-search",
-        "schedule-ideal",    "finalize",
-    };
-    EXPECT_EQ(names, expected);
-}
-
-TEST(PipelineTest, ModeGatingSelectsOneSchedulingPass)
-{
-    EXPECT_EQ(enabled_for(Mode::kBasic),
-              (std::vector<std::string>{"hardware-analysis", "plan-library",
-                                        "schedule-basic", "finalize"}));
-    EXPECT_EQ(enabled_for(Mode::kStatic),
-              (std::vector<std::string>{"hardware-analysis", "plan-library",
-                                        "schedule-static", "finalize"}));
-    EXPECT_EQ(enabled_for(Mode::kElkDyn),
-              (std::vector<std::string>{"hardware-analysis", "plan-library",
-                                        "schedule-elk", "finalize"}));
-    EXPECT_EQ(enabled_for(Mode::kElkFull),
-              (std::vector<std::string>{"hardware-analysis", "plan-library",
-                                        "schedule-elk",
-                                        "preload-order-search", "finalize"}));
-    EXPECT_EQ(enabled_for(Mode::kIdeal),
-              (std::vector<std::string>{"hardware-analysis", "plan-library",
-                                        "schedule-ideal", "finalize"}));
-}
-
-TEST(PipelineTest, PassFilterNarrowsSelection)
-{
-    CompilerPipeline pipeline = CompilerPipeline::standard();
-    CompileState probe;
-    probe.opts.mode = Mode::kElkFull;
-    probe.opts.pass_filter = {"hardware-analysis", "plan-library",
-                              "schedule-elk", "finalize"};
-    EXPECT_EQ(pipeline.enabled_passes(probe),
-              (std::vector<std::string>{"hardware-analysis", "plan-library",
-                                        "schedule-elk", "finalize"}));
-    // The filter cannot enable a pass the mode gates out.
-    probe.opts.mode = Mode::kBasic;
-    probe.opts.pass_filter = {"schedule-ideal", "finalize"};
-    EXPECT_EQ(pipeline.enabled_passes(probe),
-              (std::vector<std::string>{"finalize"}));
-}
 
 TEST(ThreadPoolTest, RunsEveryIndexExactlyOnce)
 {
@@ -138,15 +82,20 @@ class PipelineCompileTest : public ::testing::Test {
     {
     }
 
-    std::string
-    compile_bits(Mode mode, int ctor_jobs, int opt_jobs)
+    static CompileOptions
+    options(Mode mode)
     {
-        Compiler comp(graph_, cfg_, nullptr, ctor_jobs);
         CompileOptions opts;
         opts.mode = mode;
         opts.max_orders = 8;
-        opts.jobs = opt_jobs;
-        return comp.compile(opts).plan.serialize_bits();
+        return opts;
+    }
+
+    std::string
+    compile_bits(Mode mode, int jobs)
+    {
+        Compiler comp(graph_, cfg_, nullptr, jobs);
+        return comp.compile(options(mode)).plan.serialize_bits();
     }
 
     graph::Graph graph_;
@@ -157,47 +106,56 @@ TEST_F(PipelineCompileTest, ParallelMatchesSerialAllModes)
 {
     for (Mode mode : {Mode::kBasic, Mode::kStatic, Mode::kElkDyn,
                       Mode::kElkFull, Mode::kIdeal}) {
-        std::string serial = compile_bits(mode, 1, 0);
-        std::string parallel = compile_bits(mode, 4, 0);
+        std::string serial = compile_bits(mode, 1);
+        std::string parallel = compile_bits(mode, 4);
         EXPECT_EQ(serial, parallel) << mode_name(mode);
         EXPECT_FALSE(serial.empty());
     }
 }
 
-TEST_F(PipelineCompileTest, PerCompileJobsOverrideMatchesToo)
-{
-    // Serial construction, parallel compile() — the opts.jobs knob.
-    std::string serial = compile_bits(Mode::kElkFull, 1, 1);
-    std::string parallel = compile_bits(Mode::kElkFull, 1, 4);
-    EXPECT_EQ(serial, parallel);
-}
-
 TEST_F(PipelineCompileTest, RepeatedCompilesAreIdentical)
 {
     Compiler comp(graph_, cfg_);
-    CompileOptions opts;
-    opts.mode = Mode::kElkFull;
-    opts.max_orders = 8;
-    // The second compile reuses the cached tuning machine; the plan
-    // must not drift.
-    EXPECT_EQ(comp.compile(opts).plan.serialize_bits(),
-              comp.compile(opts).plan.serialize_bits());
+    // Both compiles share the constructor's analysis; the plan must
+    // not drift.
+    EXPECT_EQ(comp.compile(options(Mode::kElkFull)).plan.serialize_bits(),
+              comp.compile(options(Mode::kElkFull)).plan.serialize_bits());
+}
+
+// compile() is documented safe to call concurrently on one Compiler:
+// four threads compile four designs on one shared (pooled) compiler
+// and each plan matches a serial compile. Run under TSan in CI.
+TEST_F(PipelineCompileTest, ConcurrentCompilesMatchSerial)
+{
+    const std::vector<Mode> modes = {Mode::kBasic, Mode::kStatic,
+                                     Mode::kElkDyn, Mode::kElkFull};
+    Compiler shared(graph_, cfg_, nullptr, 2);
+    std::vector<std::string> bits(modes.size());
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < modes.size(); ++t) {
+        threads.emplace_back([&, t] {
+            bits[t] = shared.compile(options(modes[t])).plan.serialize_bits();
+        });
+    }
+    for (auto& thread : threads) {
+        thread.join();
+    }
+    for (size_t t = 0; t < modes.size(); ++t) {
+        EXPECT_EQ(bits[t], compile_bits(modes[t], 1)) << mode_name(modes[t]);
+    }
 }
 
 TEST_F(PipelineCompileTest, SerializeBitsDistinguishesPlans)
 {
-    std::string basic = compile_bits(Mode::kBasic, 1, 0);
-    std::string dyn = compile_bits(Mode::kElkDyn, 1, 0);
+    std::string basic = compile_bits(Mode::kBasic, 1);
+    std::string dyn = compile_bits(Mode::kElkDyn, 1);
     EXPECT_NE(basic, dyn);
 }
 
 TEST_F(PipelineCompileTest, StatsSurviveThePipelineSplit)
 {
     Compiler comp(graph_, cfg_);
-    CompileOptions opts;
-    opts.mode = Mode::kElkFull;
-    opts.max_orders = 8;
-    auto result = comp.compile(opts);
+    auto result = comp.compile(options(Mode::kElkFull));
     EXPECT_EQ(result.stats.n_ops, graph_.size());
     EXPECT_GT(result.stats.max_plans, 0);
     EXPECT_GT(result.stats.max_fit_window, 0);
@@ -215,11 +173,9 @@ TEST(PipelineQuickstartTest, ParallelAndSerialPlansAreByteIdentical)
     opts.mode = Mode::kElkFull;
 
     Compiler serial(graph, cfg, nullptr, 1);
-    opts.jobs = 1;
     auto serial_plan = serial.compile(opts).plan;
 
     Compiler parallel(graph, cfg, nullptr, 8);
-    opts.jobs = 8;
     auto parallel_plan = parallel.compile(opts).plan;
 
     EXPECT_EQ(serial_plan.serialize_bits(),

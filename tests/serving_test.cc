@@ -8,7 +8,6 @@
  */
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <fstream>
 #include <string>
 
@@ -466,28 +465,32 @@ TEST(PlanCacheTest, SecondCompileHitsAndMatchesBitExactly)
     EXPECT_EQ(cache.stats().entries, 2);
 }
 
-TEST(PlanCacheTest, CachedPlanHookDisablesSchedulingPasses)
+TEST(PlanCacheTest, HitReturnsTheCachedResultUnscheduled)
 {
-    auto pipeline = compiler::CompilerPipeline::standard();
-    compiler::CompileState probe;
-    probe.opts.mode = compiler::Mode::kElkFull;
-    auto without = pipeline.enabled_passes(probe);
-    EXPECT_NE(std::find(without.begin(), without.end(), "schedule-elk"),
-              without.end());
+    // A sentinel no schedule stage could produce, stored under the
+    // compile's own key: compile() must hand it back unchanged.
+    auto graph = graph::build_decode_graph(testing::tiny_llm(), 8, 512);
+    hw::ChipConfig cfg = tiny_chip();
+    compiler::CompileOptions opts;
+    opts.mode = compiler::Mode::kElkFull;
+    auto sentinel = std::make_shared<compiler::CompileResult>();
+    sentinel->plan.mode = "sentinel";
+    sentinel->plan.est_total_time = 42.0;
+    sentinel->stats.orders_tested = 12345;
+    compiler::PlanCache cache;
+    cache.insert(compiler::make_plan_key(graph, cfg, opts), sentinel);
 
-    probe.cached_plan =
-        std::make_shared<const compiler::ExecutionPlan>();
-    auto with = pipeline.enabled_passes(probe);
-    EXPECT_EQ(std::find(with.begin(), with.end(), "schedule-elk"),
-              with.end());
-    EXPECT_EQ(std::find(with.begin(), with.end(),
-                        "preload-order-search"),
-              with.end());
-    // Analysis and finalize still run.
-    EXPECT_NE(std::find(with.begin(), with.end(), "plan-library"),
-              with.end());
-    EXPECT_NE(std::find(with.begin(), with.end(), "finalize"),
-              with.end());
+    compiler::Compiler comp(graph, cfg);
+    comp.set_plan_cache(&cache);
+    auto result = comp.compile(opts);
+    EXPECT_TRUE(result.from_cache);
+    EXPECT_EQ(result.plan.mode, "sentinel");
+    EXPECT_EQ(result.plan.serialize_bits(),
+              sentinel->plan.serialize_bits());
+    EXPECT_EQ(result.stats.orders_tested, 12345);
+    EXPECT_EQ(result.stats.n_ops, 0);  // finalize did not run either
+    EXPECT_EQ(cache.stats().hits, 1);
+    EXPECT_EQ(cache.stats().misses, 0);
 }
 
 TEST(PlanCacheTest, KeyDistinguishesModelChipModeAndKnobs)

@@ -65,9 +65,6 @@ usage(const char* argv0)
         "  --jobs N          compiler worker threads (1 serial, 0 = all\n"
         "                    hardware threads; plans are bit-identical\n"
         "                    at any setting)\n"
-        "  --passes P        'list' prints the pass pipeline for the\n"
-        "                    selected mode and exits; otherwise a\n"
-        "                    comma-separated subset of passes to run\n"
         "serve options (with --model/--batch/--seq/--mode/--topology/\n"
         "--hbm-tbs/--chips/--jobs as above):\n"
         "  --requests N      requests to serve (default 64)\n"
@@ -651,7 +648,6 @@ main(int argc, char** argv)
     double hbm_tbs = 16.0;
     int chips = 4;
     int jobs = 1;
-    std::string passes;
     bool show_timeline = false;
     bool show_program = false;
 
@@ -687,8 +683,6 @@ main(int argc, char** argv)
             dump_timing_file = v;
         } else if (const char* v = arg("--jobs")) {
             jobs = util::ThreadPool::parse_jobs_arg(v, "--jobs");
-        } else if (const char* v = arg("--passes")) {
-            passes = v;
         } else if (std::strcmp(argv[i], "--timeline") == 0) {
             show_timeline = true;
         } else if (std::strcmp(argv[i], "--program") == 0) {
@@ -722,32 +716,6 @@ main(int argc, char** argv)
     compiler::Mode mode = parse_mode(mode_name);
     compiler::CompileOptions opts;
     opts.mode = mode;
-    if (passes == "list") {
-        // Dry-run: print the pipeline for this mode without building
-        // the plan library (which needs the full analysis).
-        auto pipeline = compiler::CompilerPipeline::standard();
-        compiler::CompileState probe;
-        probe.opts = opts;
-        auto enabled = pipeline.enabled_passes(probe);
-        std::printf("pass pipeline for mode %s:\n",
-                    compiler::mode_name(mode).c_str());
-        for (const auto& name : pipeline.pass_names()) {
-            bool on = std::find(enabled.begin(), enabled.end(), name) !=
-                      enabled.end();
-            std::printf("  %-22s %s\n", name.c_str(),
-                        on ? "run" : "skip (mode-gated)");
-        }
-        return 0;
-    }
-    if (!passes.empty()) {
-        std::stringstream ss(passes);
-        std::string name;
-        while (std::getline(ss, name, ',')) {
-            if (!name.empty()) {
-                opts.pass_filter.push_back(name);
-            }
-        }
-    }
     compiler::Compiler comp(*model, chip, nullptr, jobs);
     auto compiled = comp.compile(opts);
     sim::Machine machine(chip, mode == compiler::Mode::kIdeal);
